@@ -4,12 +4,17 @@ Times every pipeline stage — corpus build, Word2Vec training, LOO
 evaluation, Louvain clustering — at 1/2/4 workers on a fixed medium
 preset and writes ``BENCH_perf_engine.json`` with throughput
 (pairs/sec) and end-to-end seconds, so later PRs can track the perf
-trajectory.  ``workers=1`` runs the unchanged sequential reference
-path, which doubles as the seed baseline.
+trajectory.  Every worker count trains through the same sharded engine
+(``workers=1`` on one inline thread), so a gain over ``workers=1`` is
+thread-level parallelism when the machine has the cores for it.  Each
+result records the threads it actually ran and labels its gain
+accordingly: ``"threads"`` on several threads, ``"none"`` when the pool
+ran inline (one core) and only the shard layout differs.
 
-Run from the repository root:
+Run from the repository root, with one BLAS thread so the worker
+pool is the only parallelism:
 
-    PYTHONPATH=src python benchmarks/bench_perf_engine.py
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python benchmarks/bench_perf_engine.py
 
 Options: ``--scale/--days/--seed`` pick the scenario, ``--epochs`` the
 training length, ``--workers`` a comma list of worker counts, ``--out``
@@ -163,6 +168,12 @@ def main(argv: list[str] | None = None) -> int:
     )
     corpus_seconds = time.perf_counter() - t0
 
+    # One untimed single-epoch fit first: until large frees raise
+    # glibc's mmap and trim thresholds, a fresh process hands freed
+    # memory back to the OS and every batch's temporaries page-fault.
+    # Without it the first setting in the list runs ~1.5x slower than
+    # the same setting run later.
+    run_setting(bundle.trace, bundle.truth, 1, 1, args.model_seed)
     results = []
     for workers in worker_counts:
         print(f"running fit+evaluate+cluster at workers={workers} ...")
@@ -177,7 +188,10 @@ def main(argv: list[str] | None = None) -> int:
         results.append(result)
 
     baseline = next((r for r in results if r["workers"] == 1), results[0])
+    cores = os.cpu_count() or 1
     for result in results:
+        result["threads"] = min(result["workers"], cores)
+        result["gain_source"] = "threads" if result["threads"] > 1 else "none"
         result["speedup_vs_workers1"] = round(
             baseline["end_to_end_seconds"] / result["end_to_end_seconds"], 2
         )
@@ -195,7 +209,10 @@ def main(argv: list[str] | None = None) -> int:
             "epochs": args.epochs,
             "service": "domain",
         },
-        "environment": {"cpu_count": os.cpu_count() or 1},
+        "environment": {
+            "cpu_count": cores,
+            "openblas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+        },
         "trace": {
             "n_packets": int(bundle.trace.n_packets),
             "n_senders": int(bundle.trace.n_senders),

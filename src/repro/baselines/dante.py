@@ -110,8 +110,8 @@ class Dante:
         def train_sender(item: tuple[int, int]) -> np.ndarray | None:
             row, sender = item
             sentences = languages[int(sender)]
-            # Each language corpus is tiny, so the per-model trainer
-            # stays sequential; parallelism comes from training the
+            # Each language corpus is tiny, so each model trains on
+            # one inline thread; parallelism comes from training the
             # independent languages concurrently.
             model = Word2Vec(
                 vector_size=self.vector_size,

@@ -48,7 +48,7 @@ class Ip2Vec:
     treats every packet as a flow, which is what a darknet's one-sided
     SYN traffic effectively is.  ``workers`` is forwarded to
     :class:`~repro.w2v.model.Word2Vec`; the pair stream is extremely
-    repetitive, so the parallel engine's deduplication pays off most
+    repetitive, so the trainer's per-batch deduplication pays off most
     here.
     """
 

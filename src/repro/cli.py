@@ -271,7 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="training parallelism (1 = exact sequential, 0 = all cores)",
+        help="training threads (1 = one inline thread, bit-reproducible; "
+        "0 = all cores)",
     )
     add_telemetry_flags(train)
 
@@ -300,7 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--workers",
             type=int,
             default=1,
-            help="training parallelism (1 = exact sequential, 0 = all cores)",
+            help="training threads (1 = one inline thread, bit-reproducible; "
+            "0 = all cores)",
         )
         cmd.add_argument(
             "--out",

@@ -76,15 +76,18 @@ class DarkVecConfig:
         epochs: training epochs.
         seed: randomness seed (model init, window shrink, negatives).
         workers: parallelism for training, evaluation, and clustering.
-            ``1`` (default) is the bit-reproducible sequential path,
-            ``0`` uses all cores; any other value routes training
-            through the sharded parallel engine (statistically
-            equivalent embeddings, identical k-NN/graph results).
+            Skip-gram always trains on the sharded engine
+            (:class:`~repro.parallel.trainer.ShardedTrainer`):
+            ``1`` (default) runs it on one inline thread,
+            bit-reproducible for a fixed seed; ``0`` uses all cores;
+            with more than one thread the embeddings are statistically
+            equivalent rather than bit-identical.  k-NN and graph
+            results are identical for every value.
         pool_backend: how :class:`~repro.parallel.WorkerPool` fans out
             when ``workers != 1``: ``"thread"`` (default, shared
             address space) or ``"process"`` (fork-based workers over
             ``multiprocessing.shared_memory``, escaping the GIL).
-            ``workers=1`` is the same sequential reference under both.
+            ``workers=1`` runs the same inline trainer under both.
         shard_size: streaming-shard granularity (distinct senders per
             shard) for the corpus and vocab stages.  ``0`` (default)
             builds in one pass; any positive value streams

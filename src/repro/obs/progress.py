@@ -3,10 +3,10 @@
 :class:`~repro.w2v.model.Word2Vec` (and therefore
 :meth:`~repro.core.pipeline.DarkVec.fit`) accepts a ``progress``
 callback that receives one :class:`ProgressEvent` per finished epoch —
-pairs/sec, a loss estimate and an ETA — on both the sequential and the
-sharded parallel training paths.  The callback runs outside the hot
-loop and consumes no randomness, so providing one does not perturb the
-bit-reproducible ``workers=1`` reference path.
+pairs/sec, a loss estimate and an ETA (skip-gram only; CBOW reports
+no loss).  The callback runs outside the hot loop and consumes no
+randomness, so providing one does not perturb the bit-reproducible
+``workers=1`` path.
 """
 
 from __future__ import annotations

@@ -7,14 +7,16 @@ the library:
   thread-pool wrapper (numpy kernels release the GIL, so threads give
   real concurrency on the BLAS-heavy hot paths).
 * :mod:`repro.parallel.sgd` — vectorized SGNS kernels (sigmoid lookup
-  table, sparse-matmul scatter-add, pair deduplication) used by the
-  sharded trainer.
+  table, sparse-matmul scatter-add, per-batch pair deduplication) used
+  by the sharded trainer.
 * :mod:`repro.parallel.trainer` — the Hogwild-style
-  :class:`~repro.parallel.trainer.ShardedTrainer` that
-  :class:`~repro.w2v.model.Word2Vec` dispatches to when ``workers != 1``.
+  :class:`~repro.parallel.trainer.ShardedTrainer`, the only skip-gram
+  trainer: :class:`~repro.w2v.model.Word2Vec` runs every skip-gram fit
+  through it.
 
-``workers=1`` everywhere means "the exact sequential reference path";
-``workers=0`` means "use all available cores".
+``workers=1`` everywhere means "one inline thread": the same code as
+any other value, bit-reproducible for a fixed seed.  ``workers=0``
+means "use all available cores".
 """
 
 from repro.parallel.pool import (

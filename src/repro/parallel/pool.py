@@ -35,6 +35,7 @@ import os
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Any, Callable, Iterable
 
 from repro.obs import recorder
@@ -43,9 +44,9 @@ from repro.obs.recorder import wrap_task
 #: Valid WorkerPool backends.
 POOL_BACKENDS = ("thread", "process")
 
-#: Session-default backend used when a pool is built without an
-#: explicit one; see :func:`pool_backend`.
-_DEFAULT_BACKEND = "thread"
+#: Default backend of pools built without an explicit one, scoped per
+#: context (so per thread) by :func:`pool_backend`.
+_DEFAULT_BACKEND: ContextVar[str] = ContextVar("pool_backend", default="thread")
 
 #: Fork-published ``(fn, items)`` for the in-flight process map, plus
 #: the lock serialising process maps (the global is per-fork state).
@@ -66,8 +67,8 @@ def fork_available() -> bool:
 
 
 def default_backend() -> str:
-    """The session-default pool backend (``"thread"`` unless scoped)."""
-    return _DEFAULT_BACKEND
+    """The current context's default pool backend (``"thread"`` unless scoped)."""
+    return _DEFAULT_BACKEND.get()
 
 
 @contextmanager
@@ -76,17 +77,19 @@ def pool_backend(name: str):
 
     The pipeline wraps ``fit``/``update``/``evaluate``/``cluster`` in
     this scope so one config knob reaches every nested WorkerPool
-    without threading a parameter through each call site.
+    without threading a parameter through each call site.  The scope
+    is a :class:`~contextvars.ContextVar`, so it covers only the
+    calling thread: the serve daemon's writer can train under
+    ``"process"`` while its reader threads keep building ``"thread"``
+    search pools.
     """
-    global _DEFAULT_BACKEND
     if name not in POOL_BACKENDS:
         raise ValueError(f"pool backend must be one of {POOL_BACKENDS}, got {name!r}")
-    previous = _DEFAULT_BACKEND
-    _DEFAULT_BACKEND = name
+    token = _DEFAULT_BACKEND.set(name)
     try:
         yield
     finally:
-        _DEFAULT_BACKEND = previous
+        _DEFAULT_BACKEND.reset(token)
 
 
 def _fork_map_entry(index: int):

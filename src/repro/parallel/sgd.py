@@ -1,18 +1,21 @@
-"""Vectorized SGNS kernels for the sharded trainer.
+"""Vectorized SGNS kernels for the skip-gram trainer.
 
-Three optimisations over the sequential ``Word2Vec._sgd_step``:
+Three optimisations make the batched step cheap:
 
 * a word2vec-style sigmoid lookup table (the logistic function is a
-  large share of the sequential profile);
-* scatter-adds expressed as one sparse-matrix × dense-matrix product
-  (``scipy.sparse``), which is several times faster than the
-  sort + ``reduceat`` fallback at training batch sizes;
-* shard-level deduplication of (center, context) pairs: darknet corpora
-  are extremely repetitive, so collapsing duplicates and scaling the
-  positive gradient by the multiplicity does the same SGD work on
-  30-50 % fewer rows.  Within a batch the duplicate pairs would have
-  computed identical scores from the same stale vectors, so the summed
-  gradient is exactly ``multiplicity ×`` the single-pair gradient.
+  large share of a naive step's profile);
+* scatter-adds expressed as one selection-matrix × dense-matrix
+  product — a ``scipy.sparse`` selector at training batch sizes, a
+  dense one for tiny problems — which is several times faster than the
+  sort + ``reduceat`` fallback;
+* per-batch deduplication of (center, context) pairs: darknet corpora
+  are extremely repetitive, so collapsing the duplicates of one SGD
+  batch and scaling the positive gradient by the multiplicity does the
+  same SGD work on fewer rows.  Within one batch the duplicate pairs
+  would have computed identical scores from the same stale vectors, so
+  the summed positive gradient is exactly ``multiplicity ×`` the
+  single-pair gradient.  Across batches the vectors move, so pairs are
+  never merged beyond their own batch.
 """
 
 from __future__ import annotations
@@ -36,6 +39,17 @@ _SIG_TABLE = (
 ).astype(np.float32)
 _SIG_SCALE = np.float32((_TABLE_SIZE - 1) / (2.0 * _TABLE_CLAMP))
 
+#: Scatters into at most this many ``rows × batch`` cells use a dense
+#: selector matrix: one small BLAS matmul, several times faster on tiny
+#: batches than either the ``scipy.sparse`` build (~0.1 ms fixed cost)
+#: or the sort + ``reduceat`` fallback.
+DENSE_SELECTOR_CELLS = 1 << 16
+
+#: Unique pairs sharing one negative draw.  The shuffled per-batch
+#: uniques decorrelate the groups, which is what makes wide sharing
+#: safe (and fast).
+SHARED_NEGATIVES = 64
+
 
 def sigmoid_table(x: np.ndarray) -> np.ndarray:
     """Table-lookup logistic function (word2vec's EXP_TABLE trick).
@@ -45,8 +59,7 @@ def sigmoid_table(x: np.ndarray) -> np.ndarray:
     and several times faster than evaluating ``exp``.
     """
     idx = ((x + np.float32(_TABLE_CLAMP)) * _SIG_SCALE).astype(np.int32)
-    np.clip(idx, 0, _TABLE_SIZE - 1, out=idx)
-    return _SIG_TABLE[idx]
+    return _SIG_TABLE.take(idx, mode="clip")
 
 
 def scaled_scatter_add(
@@ -57,18 +70,23 @@ def scaled_scatter_add(
 ) -> None:
     """``matrix[rows] += scale[:, None] * updates`` with duplicates summed.
 
-    When scipy is available and the batch is large relative to the
-    matrix, the scatter is expressed as a CSR (n_rows × batch) selection
-    matrix times the dense update block — one BLAS-backed pass instead
-    of a sort + reduce.  Folding ``scale`` into the sparse matrix data
-    also avoids materialising the scaled update block.
+    The scatter is a selection matrix (n_rows × batch, one ``scale``
+    entry per column) times the dense update block: a dense selector
+    for small problems (:data:`DENSE_SELECTOR_CELLS`), a CSR one when
+    scipy is available and the batch is large relative to the matrix,
+    and a sort + reduce otherwise.  Folding ``scale`` into the selector
+    avoids materialising the scaled update block.
     """
     batch = len(rows)
     if batch == 0:
         return
     n_rows = len(matrix)
-    if _sparse is not None and n_rows <= 8 * batch:
-        data = np.ones(batch, dtype=np.float32) if scale is None else scale
+    data = np.ones(batch, dtype=np.float32) if scale is None else scale
+    if n_rows * batch <= DENSE_SELECTOR_CELLS:
+        selector = np.zeros((n_rows, batch), dtype=np.float32)
+        selector[rows, np.arange(batch)] = data
+        matrix += selector @ updates
+    elif _sparse is not None and n_rows <= 8 * batch:
         selector = _sparse.csr_matrix(
             (data, (rows, np.arange(batch))), shape=(n_rows, batch)
         )
@@ -110,18 +128,20 @@ def sgd_step_fast(
     multiplicity: np.ndarray,
     sampler: NegativeSampler | None,
     negative: int,
-    shared_negatives: int,
     lr: float,
     rng: np.random.Generator,
     track_loss: bool = False,
 ) -> float | None:
     """One batched SGNS step over deduplicated (center, context) pairs.
 
-    The update is the same objective as ``Word2Vec._sgd_step`` — each
-    *raw* pair contributes one positive and ``negative`` negative
-    samples — but each unique pair's gradient is scaled by its
-    ``multiplicity``, scores come from :func:`sigmoid_table`, and
-    scatter-adds go through :func:`scaled_scatter_add`.
+    Each *raw* pair contributes one positive and ``negative`` negative
+    samples of the SGNS objective; each unique pair's gradient is
+    scaled by its ``multiplicity``, scores come from
+    :func:`sigmoid_table`, scatter-adds go through
+    :func:`scaled_scatter_add`, and groups of :data:`SHARED_NEGATIVES`
+    consecutive pairs share one negative draw (grouped BLAS matmuls
+    instead of per-pair ``(B, K, V)`` elementwise work, with the same
+    expected gradient).
 
     Args:
         syn0, syn1: input/output embedding matrices, updated in place.
@@ -129,7 +149,6 @@ def sgd_step_fast(
         multiplicity: float32 raw-pair count per unique pair.
         sampler: negative sampler (``None`` disables negatives).
         negative: negative samples per raw pair.
-        shared_negatives: group size sharing one negative draw.
         lr: learning rate for this batch.
         rng: randomness for the negative draws.
         track_loss: when true, return the multiplicity-weighted sum of
@@ -145,7 +164,16 @@ def sgd_step_fast(
         return 0.0 if track_loss else None
     lr32 = np.float32(lr)
     dim = syn0.shape[1]
-    center_vecs = syn0[centers]
+    # Balanced groups of at most SHARED_NEGATIVES pairs share one
+    # negative draw; the last is padded with zero-weight rows, which
+    # add no gradient.  Gathering straight into the padded block keeps
+    # the padding free of copies (``mode="clip"`` skips take's buffered
+    # bounds check; the ids are vocabulary rows).
+    n_groups = -(-n_pairs // SHARED_NEGATIVES)
+    group = -(-n_pairs // n_groups)
+    padded = n_groups * group
+    grouped = np.zeros((padded, dim), dtype=np.float32)
+    center_vecs = np.take(syn0, centers, axis=0, out=grouped[:n_pairs], mode="clip")
     context_vecs = syn1[contexts]
 
     pos_scores = sigmoid_table(np.einsum("ij,ij->i", center_vecs, context_vecs))
@@ -158,36 +186,24 @@ def sgd_step_fast(
     grad_centers = g_pos[:, None] * context_vecs
 
     if sampler is not None and negative:
-        group = max(min(shared_negatives, n_pairs), 1)
-        n_groups = max(n_pairs // group, 1)
-        main = n_groups * group
+        weight = np.zeros(padded, dtype=np.float32)
+        weight[:n_pairs] = multiplicity
+        grouped = grouped.reshape(n_groups, group, dim)
         negatives = sampler.sample(rng, (n_groups, negative))  # (G, K)
         obs.add("train.negative_draws", int(negatives.size))
         neg_vecs = syn1[negatives]  # (G, K, V)
-        grouped = center_vecs[:main].reshape(n_groups, group, dim)
         scores = sigmoid_table(np.matmul(grouped, neg_vecs.transpose(0, 2, 1)))
-        g_neg = (
-            -scores * lr32 * multiplicity[:main].reshape(n_groups, group, 1)
-        ).astype(np.float32)
-        grad_centers[:main] += np.matmul(g_neg, neg_vecs).reshape(main, dim)
+        g_neg = (-scores * (lr32 * weight).reshape(n_groups, group, 1)).astype(
+            np.float32
+        )
+        grad_centers += np.matmul(g_neg, neg_vecs).reshape(padded, dim)[:n_pairs]
         grad_negatives = np.matmul(g_neg.transpose(0, 2, 1), grouped)
         scaled_scatter_add(
             syn1, negatives.reshape(-1), grad_negatives.reshape(-1, dim)
         )
-        if main < n_pairs:
-            remainder = center_vecs[main:]
-            tail_negatives = sampler.sample(rng, (1, negative))
-            obs.add("train.negative_draws", negative)
-            tail_vecs = syn1[tail_negatives[0]]  # (K, V)
-            tail_scores = sigmoid_table(remainder @ tail_vecs.T)
-            g_tail = (-tail_scores * lr32 * multiplicity[main:, None]).astype(
-                np.float32
-            )
-            grad_centers[main:] += g_tail @ tail_vecs
-            scatter_add(syn1, tail_negatives.reshape(-1), g_tail.T @ remainder)
 
     # Fused: the context gradient is g_pos * center_vecs, so folding
-    # g_pos into the sparse selector skips the dense outer product.
+    # g_pos into the selector skips the dense outer product.
     scaled_scatter_add(syn1, contexts, center_vecs, scale=g_pos)
     scaled_scatter_add(syn0, centers, grad_centers)
     return loss

@@ -1,37 +1,50 @@
-"""Hogwild-style sharded SGNS trainer (the ``workers != 1`` fit path).
+"""Sharded skip-gram trainer: the one SGNS training engine.
 
-Each epoch the sentence permutation is cut into ``workers ×
-shards_per_worker`` shards.  Per shard, a *generation* task gathers the
-shard's sentences from the flattened corpus, applies subsampling, emits
-skip-gram pairs (:func:`~repro.w2v.skipgram.skipgram_pairs_flat`),
-deduplicates them and shuffles the uniques; an *SGD* task then replays
-the deduplicated stream through :func:`~repro.parallel.sgd.sgd_step_fast`.
-Generation for shard ``i+1`` is prefetched while SGD runs on shard
-``i``, and on multi-core machines the SGD tasks of different shards run
-concurrently, updating the shared ``syn0``/``syn1`` matrices lock-free
-(Hogwild); only the learning-rate bookkeeping takes a lock.
+Every skip-gram fit runs here — :meth:`~repro.w2v.model.Word2Vec.fit`
+and :meth:`~repro.w2v.model.Word2Vec.fit_pairs` at every ``workers``
+value.  Each epoch the permutation of sentences (or, for an explicit
+pair stream, of pairs) is cut into shards: one per lane —
+``workers × shards_per_worker`` lanes when ``workers > 1``, a single
+inline lane at ``workers=1`` — and more when needed so that no shard
+expects more than :data:`PAIR_BUDGET` raw pairs, which bounds the pairs
+held in memory however large the corpus grows.
 
-Determinism: with one thread (one core, or ``workers=1`` requested at a
-call site that still routes here) the schedule is sequential and runs
-are bit-reproducible for a fixed seed.  With several threads the
-lock-free races make individual runs differ, but the embeddings are
-statistically equivalent — the LOO accuracy criterion the paper uses is
-unaffected (see ``benchmarks/bench_perf_engine.py``).
+Per shard, a *generation* task gathers the shard's sentences from the
+flattened corpus, applies subsampling and emits skip-gram pairs in
+sentence order (:func:`~repro.w2v.skipgram.skipgram_pairs_flat`).  It
+shuffles that raw stream within windows of two batches, cuts it into
+SGD batches of ``batch_pairs`` pairs, deduplicates each batch and
+shuffles the batch's unique pairs; an *SGD* task then replays the
+batches through :func:`~repro.parallel.sgd.sgd_step_fast`.  Generation
+for shard ``i+1`` is prefetched while SGD runs on shard ``i``, and with
+several threads the SGD tasks of different shards run concurrently,
+updating the shared ``syn0``/``syn1`` matrices lock-free (Hogwild);
+only the learning-rate bookkeeping takes a lock.
+
+Determinism: the shard layout depends only on the corpus and the
+requested ``workers`` (never on the machine's core count), and each
+shard draws its randomness from ``(seed, epoch, shard)``.  Counters are
+therefore deterministic at any worker count and identical across pool
+backends.  Vectors are bit-identical for a fixed seed whenever the
+pool runs inline (``workers=1``, or a single core); real threads race
+lock-free, so their vectors differ run to run while staying
+statistically equivalent.
 """
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import threading
 import time
 from collections import deque
+from contextlib import contextmanager
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from repro import obs
 from repro.obs import recorder as obs_recorder
-from repro.obs.progress import epoch_event
 from repro.parallel.pool import (
     WorkerPool,
     default_backend,
@@ -42,14 +55,24 @@ from repro.parallel.sgd import dedup_pairs, sgd_step_fast
 from repro.parallel.shm import SharedArray
 from repro.w2v.mathutils import cap_row_norms
 from repro.w2v.negative import NegativeSampler
-from repro.w2v.skipgram import skipgram_pairs_flat
+from repro.w2v.skipgram import sentence_pair_counts, skipgram_pairs_flat
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.w2v.model import Word2Vec
 
-# Distinct stream tags so generation and SGD randomness never collide.
-_GEN_STREAM = 11
-_SGD_STREAM = 13
+#: Raw (center, context) pairs one shard may expect per epoch.  Large
+#: corpora are cut into enough shards to stay within it, which bounds
+#: the pairs in memory at once; small corpora keep one shard per lane.
+PAIR_BUDGET = 1 << 18
+
+#: Raw pairs are shuffled within windows of this many SGD batches.
+#: Batches cut straight from sentence order each cover a handful of
+#: sentences, and concurrent (Hogwild) steps on such concentrated
+#: batches lose accuracy.  Wider windows cost the other way: a
+#: shard-wide shuffle blurs the 2-D PCA class separation the tests
+#: check, and four-batch windows already split small coordinated groups
+#: (Table 5's ADB worm) across clusters.  Two batches keep all three.
+SHUFFLE_BATCHES = 2
 
 #: Fork-published trainer for the in-flight process-backend fit, plus
 #: the lock serialising process fits (the global is per-fork state).
@@ -71,49 +94,42 @@ def _proc_shard_entry(task: tuple) -> tuple:
     assert trainer is not None
     rec = obs_recorder.current()
 
-    def run() -> tuple[float, int] | None:
+    def run() -> tuple[float, int]:
         payload = trainer._generate(epoch, shard, sel)
-        if payload is None:
-            return None
-        return trainer._train_shard(epoch, shard, payload)
+        return (0.0, 0) if payload is None else trainer._train_shard(payload)
 
-    if rec.enabled:
-        with rec.task_scope() as shard_registry:
-            result = run()
-            snapshot = shard_registry.snapshot()
-    else:
+    if not rec.enabled:
+        return (*run(), None)
+    with rec.task_scope() as shard_registry:
         result = run()
-        snapshot = None
-    if result is None:
-        return 0.0, 0, snapshot
-    return result[0], result[1], snapshot
+        snapshot = shard_registry.snapshot()
+    return (*result, snapshot)
 
 
 class ShardedTrainer:
-    """Parallel trainer bound to one :class:`~repro.w2v.model.Word2Vec`.
+    """Skip-gram trainer bound to one :class:`~repro.w2v.model.Word2Vec`.
 
     The trainer owns no hyper-parameters of its own beyond the shard
     layout; everything else (window, negatives, learning-rate schedule,
-    norm capping) is read from the model so the two paths cannot drift.
+    norm capping) is read from the model.
 
     Attributes:
-        shards_per_worker: shards per logical worker and epoch; more
-            than one keeps stragglers from idling the pool.
-        shared_negatives: negative-sample group size.  Larger than the
-            sequential default: the deduplicated + shuffled pair stream
-            decorrelates the groups, which is what makes wide sharing
-            safe (and fast) in the first place.
+        shards_per_worker: shards per logical worker and epoch when
+            ``workers > 1``; more than one keeps stragglers from idling
+            the pool.
+        lanes: the minimum shard count per epoch (one inline lane at
+            ``workers=1``).
     """
 
     shards_per_worker: int = 2
-    shared_negatives: int = 64
     prefetch_margin: int = 1
 
     def __init__(self, model: "Word2Vec") -> None:
         self.model = model
         self.workers = resolve_workers(model.workers)
-        self.n_shards = max(1, self.workers * self.shards_per_worker)
-        self.shared_negatives = max(model.shared_negatives, self.shared_negatives)
+        self.lanes = (
+            self.workers * self.shards_per_worker if self.workers > 1 else 1
+        )
         self._lock = threading.Lock()
         self._processed = 0
         self._loss_sum = 0.0
@@ -127,7 +143,7 @@ class ShardedTrainer:
 
     def _backend(self) -> str:
         """The pool backend this fit uses (model knob or scoped default)."""
-        backend = getattr(self.model, "pool_backend", None) or default_backend()
+        backend = self.model.pool_backend or default_backend()
         if backend == "process" and (self.workers == 1 or not fork_available()):
             backend = "thread"
         return backend
@@ -150,23 +166,26 @@ class ShardedTrainer:
     ) -> None:
         """Train ``syn0``/``syn1`` in place on an encoded corpus.
 
-        ``rng`` drives only the cross-epoch sentence permutation (as in
-        the sequential path); all per-shard randomness derives from
-        ``(seed, stream, epoch, shard)`` so the work decomposition, not
-        the thread schedule, defines the random streams.
+        ``rng`` drives only the cross-epoch sentence permutation; all
+        per-shard randomness derives from ``(seed, epoch, shard)`` so
+        the work decomposition, not the thread schedule, defines the
+        random streams.
         """
         self._begin(syn0, syn1, sampler, total_pairs, batch_pairs)
         flat = (
             np.concatenate(encoded) if encoded else np.empty(0, dtype=np.int64)
         )
         starts = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
+        weights = sentence_pair_counts(
+            lengths, self.model.context, dynamic=self.model.dynamic_window
+        )
 
         def generate(epoch: int, shard: int, sel: np.ndarray):
             return self._generate_corpus_shard(
                 flat, starts, lengths, keep_probs, epoch, shard, sel
             )
 
-        self._train_epochs(len(encoded), generate, rng)
+        self._train_epochs(len(encoded), generate, rng, weights)
 
     def train_pair_stream(
         self,
@@ -181,17 +200,17 @@ class ShardedTrainer:
     ) -> None:
         """Train on an explicit pair stream (the ``fit_pairs`` path).
 
-        Generation here is just gather + dedup + shuffle of the shard's
-        slice of the permuted stream; highly repetitive streams (IP2VEC
-        emits five pairs per packet) compress massively under dedup.
+        Each epoch's permutation of the pairs is the stream that shards
+        and batches cut; highly repetitive streams (IP2VEC emits five
+        pairs per packet) compress well under per-batch dedup.
         """
         self._begin(syn0, syn1, sampler, total_pairs, batch_pairs)
 
         def generate(epoch: int, shard: int, sel: np.ndarray):
             if len(sel) == 0:
                 return None
-            grng = self._shard_rng(_GEN_STREAM, epoch, shard)
-            return self._dedup_and_shuffle(centers[sel], contexts[sel], grng)
+            rng = self._shard_rng(epoch, shard)
+            return self._batches(centers[sel], contexts[sel], rng), rng
 
         self._train_epochs(len(centers), generate, rng)
 
@@ -224,33 +243,52 @@ class ShardedTrainer:
         n_items: int,
         generate: Callable[[int, int, np.ndarray], tuple | None],
         rng: np.random.Generator,
+        weights: np.ndarray | None = None,
     ) -> None:
+        """Run every epoch; ``weights`` are expected pairs per item.
+
+        ``weights=None`` means one raw pair per item (a pair stream).
+        """
         if n_items == 0:
             return
+        pairs = n_items if weights is None else float(weights.sum())
+        n_shards = min(n_items, max(self.lanes, math.ceil(pairs / PAIR_BUDGET)))
         if self._backend() == "process":
-            self._train_epochs_process(n_items, generate, rng)
-            return
+            executor = self._process_epochs(generate)
+        else:
+            executor = self._thread_epochs(generate)
+        model = self.model
         t_start = time.perf_counter()
-        with WorkerPool(self.model.workers, backend="thread") as pool:
-            for epoch in range(self.model.epochs):
+        with executor as run_epoch:
+            for epoch in range(model.epochs):
                 loss_sum0, loss_pairs0 = self._loss_sum, self._loss_pairs
                 t_epoch = time.perf_counter()
                 with obs.span("train.epoch", epoch=epoch):
                     order = rng.permutation(n_items)
-                    shards = np.array_split(order, min(self.n_shards, n_items))
-                    self._run_epoch(pool, epoch, shards, generate)
-                obs.observe(
-                    "train.epoch_seconds", time.perf_counter() - t_epoch
+                    run_epoch(epoch, _split(order, n_shards, weights))
+                obs.observe("train.epoch_seconds", time.perf_counter() - t_epoch)
+                epoch_pairs = self._loss_pairs - loss_pairs0
+                model._emit_progress(
+                    epoch,
+                    self._processed,
+                    self._total_pairs,
+                    t_start,
+                    loss=(self._loss_sum - loss_sum0) / epoch_pairs
+                    if epoch_pairs
+                    else None,
                 )
-                self._emit_progress(epoch, t_start, loss_sum0, loss_pairs0)
 
-    def _train_epochs_process(
-        self,
-        n_items: int,
-        generate: Callable[[int, int, np.ndarray], tuple | None],
-        rng: np.random.Generator,
-    ) -> None:
-        """Epoch loop over fork-based worker processes.
+    @contextmanager
+    def _thread_epochs(self, generate: Callable):
+        """Epoch runner over a thread pool (inline at one thread)."""
+        with WorkerPool(self.model.workers, backend="thread") as pool:
+            yield lambda epoch, shards: self._run_epoch(
+                pool, epoch, shards, generate
+            )
+
+    @contextmanager
+    def _process_epochs(self, generate: Callable):
+        """Epoch runner over fork-based worker processes.
 
         syn0/syn1 move into shared memory for the duration of the fit
         (so Hogwild writes from every process land in one buffer) and
@@ -261,7 +299,6 @@ class ShardedTrainer:
         across backends exactly.
         """
         global _PROC_TRAINER
-        t_start = time.perf_counter()
         ctx = multiprocessing.get_context("fork")
         rec = obs_recorder.current()
         shared0 = SharedArray.copy_of(self._syn0)
@@ -292,34 +329,19 @@ class ShardedTrainer:
                         initializer=initializer,
                         initargs=initargs,
                     ) as procs:
-                        for epoch in range(self.model.epochs):
-                            loss_sum0 = self._loss_sum
-                            loss_pairs0 = self._loss_pairs
-                            t_epoch = time.perf_counter()
-                            with obs.span("train.epoch", epoch=epoch):
-                                order = rng.permutation(n_items)
-                                shards = np.array_split(
-                                    order, min(self.n_shards, n_items)
-                                )
-                                tasks = [
-                                    (epoch, i, shard)
-                                    for i, shard in enumerate(shards)
-                                ]
-                                for loss_sum, loss_pairs, snapshot in procs.imap(
-                                    _proc_shard_entry, tasks
-                                ):
-                                    self._loss_sum += loss_sum
-                                    self._loss_pairs += loss_pairs
-                                    if snapshot is not None and rec.enabled:
-                                        rec.merge_snapshot(snapshot)
-                            obs.observe(
-                                "train.epoch_seconds",
-                                time.perf_counter() - t_epoch,
-                            )
+
+                        def run_epoch(epoch: int, shards: list) -> None:
+                            tasks = [(epoch, i, sel) for i, sel in enumerate(shards)]
+                            for loss_sum, loss_pairs, snapshot in procs.imap(
+                                _proc_shard_entry, tasks
+                            ):
+                                self._loss_sum += loss_sum
+                                self._loss_pairs += loss_pairs
+                                if snapshot is not None and rec.enabled:
+                                    rec.merge_snapshot(snapshot)
                             self._processed = int(self._shared_processed.value)
-                            self._emit_progress(
-                                epoch, t_start, loss_sum0, loss_pairs0
-                            )
+
+                        yield run_epoch
                 finally:
                     _PROC_TRAINER = None
                     if stream is not None:
@@ -331,25 +353,6 @@ class ShardedTrainer:
             self._shared_processed = None
             shared0.release()
             shared1.release()
-
-    def _emit_progress(
-        self, epoch: int, t_start: float, loss_sum0: float, loss_pairs0: int
-    ) -> None:
-        model = self.model
-        if model.progress is None:
-            return
-        epoch_loss = self._loss_sum - loss_sum0
-        epoch_pairs = self._loss_pairs - loss_pairs0
-        model.progress(
-            epoch_event(
-                epoch,
-                model.epochs,
-                self._processed,
-                self._total_pairs,
-                time.perf_counter() - t_start,
-                loss=epoch_loss / epoch_pairs if epoch_pairs else None,
-            )
-        )
 
     def _run_epoch(
         self,
@@ -373,20 +376,15 @@ class ShardedTrainer:
         def submit_generation() -> None:
             nonlocal next_shard
             shard = next_shard
-            pending.append(
-                (shard, pool.submit(generate, epoch, shard, shards[shard]))
-            )
+            pending.append(pool.submit(generate, epoch, shard, shards[shard]))
             next_shard += 1
 
         while next_shard < len(shards) and len(pending) < prefetch:
             submit_generation()
         while pending:
-            shard, future = pending.popleft()
-            payload = future.result()
+            payload = pending.popleft().result()
             if payload is not None:
-                sgd_futures.append(
-                    pool.submit(self._train_shard, epoch, shard, payload)
-                )
+                sgd_futures.append(pool.submit(self._train_shard, payload))
             if next_shard < len(shards):
                 submit_generation()
         for future in sgd_futures:
@@ -395,8 +393,8 @@ class ShardedTrainer:
                 self._loss_sum += loss_sum
                 self._loss_pairs += loss_pairs
 
-    def _shard_rng(self, stream: int, epoch: int, shard: int):
-        return np.random.default_rng([self.model.seed, stream, epoch, shard])
+    def _shard_rng(self, epoch: int, shard: int) -> np.random.Generator:
+        return np.random.default_rng([self.model.seed, epoch, shard])
 
     def _generate_corpus_shard(
         self,
@@ -409,11 +407,11 @@ class ShardedTrainer:
         sel: np.ndarray,
     ) -> tuple | None:
         model = self.model
-        grng = self._shard_rng(_GEN_STREAM, epoch, shard)
         shard_lengths = lengths[sel]
         n_tokens = int(shard_lengths.sum())
         if n_tokens == 0:
             return None
+        rng = self._shard_rng(epoch, shard)
         # Gather the shard's sentences from the flat corpus in one shot.
         segment = np.concatenate([[0], np.cumsum(shard_lengths)[:-1]])
         token_idx = np.repeat(starts[:-1][sel], shard_lengths) + (
@@ -421,7 +419,7 @@ class ShardedTrainer:
         )
         tokens = flat[token_idx]
         if keep_probs is not None:
-            keep = grng.random(n_tokens) < keep_probs[tokens]
+            keep = rng.random(n_tokens) < keep_probs[tokens]
             sentence_id = np.repeat(np.arange(len(sel)), shard_lengths)
             shard_lengths = np.bincount(sentence_id[keep], minlength=len(sel))
             tokens = tokens[keep]
@@ -429,25 +427,42 @@ class ShardedTrainer:
             np.int64
         )
         centers, contexts = skipgram_pairs_flat(
-            tokens, shard_starts, model.context, grng, dynamic=model.dynamic_window
+            tokens, shard_starts, model.context, rng, dynamic=model.dynamic_window
         )
         if len(centers) == 0:
             return None
-        return self._dedup_and_shuffle(centers, contexts, grng)
+        return self._batches(centers, contexts, rng), rng
 
-    def _dedup_and_shuffle(
+    def _batches(
         self,
         centers: np.ndarray,
         contexts: np.ndarray,
-        grng: np.random.Generator,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        uniq_c, uniq_x, multiplicity = dedup_pairs(
-            centers, contexts, self._n_vocab
-        )
-        # Shuffling is load-bearing: np.unique returns same-center pairs
-        # adjacent, and adjacent pairs share a negative draw.
-        perm = grng.permutation(len(uniq_c))
-        return uniq_c[perm], uniq_x[perm], multiplicity[perm]
+        rng: np.random.Generator,
+    ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, int]]:
+        """Cut a raw pair stream into deduplicated SGD batches.
+
+        The stream is shuffled within windows of :data:`SHUFFLE_BATCHES`
+        batches, then cut into batches of ``batch_pairs`` raw pairs,
+        returned as ``(centers, contexts, multiplicity, raw_pairs)``.
+        Dedup stays inside the batch (see :mod:`repro.parallel.sgd` for
+        why that is exact), and the uniques are shuffled because
+        ``dedup_pairs`` returns same-center pairs adjacent, and adjacent
+        pairs share a negative draw.
+        """
+        batches = []
+        window = SHUFFLE_BATCHES * self._batch_pairs
+        for start in range(0, len(centers), window):
+            order = start + rng.permutation(min(window, len(centers) - start))
+            for lo in range(0, len(order), self._batch_pairs):
+                raw = order[lo : lo + self._batch_pairs]
+                uniq_c, uniq_x, multiplicity = dedup_pairs(
+                    centers[raw], contexts[raw], self._n_vocab
+                )
+                perm = rng.permutation(len(uniq_c))
+                batches.append(
+                    (uniq_c[perm], uniq_x[perm], multiplicity[perm], len(raw))
+                )
+        return batches
 
     def _claim(self, represented: int) -> float:
         """Advance the processed-pairs counter; returns the batch's lr.
@@ -457,56 +472,68 @@ class ShardedTrainer:
         the linear learning-rate decay tracks global progress under
         either executor.
         """
-        model = self.model
         shared = self._shared_processed
         if shared is not None:
             with shared.get_lock():
-                fraction = min(shared.value / self._total_pairs, 1.0)
+                done = shared.value
                 shared.value += represented
         else:
             with self._lock:
-                fraction = min(self._processed / self._total_pairs, 1.0)
+                done = self._processed
                 self._processed += represented
-        return max(model.alpha * (1.0 - fraction), model.min_alpha)
+        return self.model._learning_rate(done, self._total_pairs)
 
-    def _train_shard(
-        self, epoch: int, shard: int, payload: tuple
-    ) -> tuple[float, int]:
-        """SGD over one shard's pair stream; returns (loss sum, pairs).
+    def _train_shard(self, payload: tuple) -> tuple[float, int]:
+        """SGD over one shard's batches; returns (loss sum, pairs).
 
         Loss terms are returned rather than accumulated in place so the
         same code serves thread workers (parent absorbs under its lock)
         and forked processes (values travel home with the result).
         """
         model = self.model
-        centers, contexts, multiplicity = payload
-        srng = self._shard_rng(_SGD_STREAM, epoch, shard)
+        batches, rng = payload
         loss_sum = 0.0
         loss_pairs = 0
-        for lo in range(0, len(centers), self._batch_pairs):
-            hi = min(lo + self._batch_pairs, len(centers))
-            represented = int(multiplicity[lo:hi].sum())
-            lr = self._claim(represented)
+        for centers, contexts, multiplicity, raw in batches:
+            lr = self._claim(raw)
             loss = sgd_step_fast(
                 self._syn0,
                 self._syn1,
-                centers[lo:hi],
-                contexts[lo:hi],
-                multiplicity[lo:hi],
+                centers,
+                contexts,
+                multiplicity,
                 self._sampler,
                 model.negative,
-                self.shared_negatives,
                 lr,
-                srng,
+                rng,
                 track_loss=self._track_loss,
             )
-            obs.add("train.pairs", represented)
+            obs.add("train.pairs", raw)
             obs.add("train.batches", 1)
-            obs.observe("train.batch_pairs", hi - lo)
+            obs.observe("train.batch_pairs", len(centers))
             if loss is not None:
                 loss_sum += loss
-                loss_pairs += represented
+                loss_pairs += raw
             if model.max_norm is not None:
                 cap_row_norms(self._syn0, model.max_norm)
                 cap_row_norms(self._syn1, model.max_norm)
         return loss_sum, loss_pairs
+
+
+def _split(
+    order: np.ndarray, n_shards: int, weights: np.ndarray | None
+) -> list[np.ndarray]:
+    """Cut one epoch's item permutation into ``n_shards`` shards.
+
+    With ``weights`` (expected pairs per sentence) the cuts balance the
+    expected pairs rather than the sentence counts, since darknet
+    sentence lengths are heavy-tailed; a shard then exceeds its share
+    by at most one sentence.
+    """
+    if n_shards == 1:
+        return [order]
+    if weights is None:
+        return np.array_split(order, n_shards)
+    load = np.cumsum(weights[order])
+    cuts = np.searchsorted(load, load[-1] * np.arange(1, n_shards) / n_shards)
+    return np.split(order, cuts)

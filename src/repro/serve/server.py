@@ -3,6 +3,8 @@
 The daemon listens on localhost only.  The protocol is one JSON object
 per line in each direction: the request carries ``{"op": ..., ...}``,
 the response ``{"ok": true, ...}`` or ``{"ok": false, "error": ...}``.
+A request line longer than :data:`MAX_REQUEST_BYTES` gets an error
+reply and closes its connection.
 Connections are handled by a thread pool (``ThreadingTCPServer``), so
 queries answer concurrently with ingestion and with each other — the
 read path only ever touches the immutable current snapshot.
@@ -65,6 +67,14 @@ from repro.trace.packet import Trace
 
 PROTOCOL_VERSION = 1
 
+#: Longest request line (bytes, newline included) the daemon reads.  A
+#: longer line gets an error reply and its connection is closed, so a
+#: client that never sends a newline cannot grow the daemon's memory
+#: without bound.  Inline ``events`` ingests cost roughly 100 bytes per
+#: packet, so 64 MiB leaves room for micro-batches of ~500k packets;
+#: larger batches go by ``path``.
+MAX_REQUEST_BYTES = 64 << 20
+
 
 def _batch_from_request(request: dict, ingest_root: Path | None = None) -> Trace:
     if "path" in request:
@@ -109,7 +119,15 @@ def _batch_from_request(request: dict, ingest_root: Path | None = None) -> Trace
 class _Handler(socketserver.StreamRequestHandler):
     def handle(self) -> None:
         server: "ServeServer" = self.server  # type: ignore[assignment]
-        for raw in self.rfile:
+        while raw := self.rfile.readline(MAX_REQUEST_BYTES + 1):
+            if len(raw) > MAX_REQUEST_BYTES:
+                self._reply(
+                    {
+                        "ok": False,
+                        "error": f"request line exceeds {MAX_REQUEST_BYTES} bytes",
+                    }
+                )
+                return
             line = raw.decode("utf-8").strip()
             if not line:
                 continue
@@ -119,8 +137,7 @@ class _Handler(socketserver.StreamRequestHandler):
                 response = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
             bye = bool(response.get("bye"))
             try:
-                self.wfile.write((json.dumps(response) + "\n").encode("utf-8"))
-                self.wfile.flush()
+                self._reply(response)
             finally:
                 if bye:
                     # Stop the server only after the goodbye response is
@@ -131,6 +148,10 @@ class _Handler(socketserver.StreamRequestHandler):
                     server._shutdown_requested.set()
             if bye:
                 return
+
+    def _reply(self, response: dict) -> None:
+        self.wfile.write((json.dumps(response) + "\n").encode("utf-8"))
+        self.wfile.flush()
 
 
 class ServeServer(socketserver.ThreadingTCPServer):

@@ -30,10 +30,10 @@ def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
 
 def cap_row_norms(matrix: np.ndarray, max_norm: float) -> None:
     """Scale rows with L2 norm above ``max_norm`` back onto the ball."""
-    norms = np.linalg.norm(matrix, axis=1)
-    over = norms > max_norm
+    squared = np.einsum("ij,ij->i", matrix, matrix)
+    over = squared > max_norm * max_norm
     if over.any():
-        matrix[over] *= (max_norm / norms[over, None]).astype(matrix.dtype)
+        matrix[over] *= (max_norm / np.sqrt(squared[over, None])).astype(matrix.dtype)
 
 
 def scatter_add(matrix: np.ndarray, rows: np.ndarray, updates: np.ndarray) -> None:

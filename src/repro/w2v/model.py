@@ -3,7 +3,10 @@
 This is the algorithm gensim runs for ``Word2Vec(sg=1, negative=k)``:
 for each (center, context) pair drawn from dynamic windows, maximise
 ``log s(u_ctx . v_c) + sum_neg log s(-u_neg . v_c)`` by SGD with a
-linearly decaying learning rate.
+linearly decaying learning rate.  The SGD itself runs in
+:class:`repro.parallel.trainer.ShardedTrainer`; this module prepares the
+vocabulary, the initial (or warm-started) weights and the learning-rate
+schedule, and keeps the sequential loop of the CBOW ablation.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from repro import obs
 from repro.obs.progress import ProgressEvent, epoch_event
 from repro.w2v.cbow import cbow_step
 from repro.w2v.keyedvectors import KeyedVectors
-from repro.w2v.mathutils import cap_row_norms, scatter_add, sigmoid
+from repro.w2v.mathutils import cap_row_norms
 from repro.w2v.negative import NegativeSampler
 from repro.w2v.skipgram import expected_pair_count, skipgram_pairs
 from repro.w2v.vocab import Vocabulary
@@ -39,22 +42,23 @@ class Word2Vec:
     one-sided window c, ``negative`` the number of negative samples,
     ``sample`` the frequent-token subsampling threshold (0 disables).
 
-    ``workers`` selects the training engine: ``1`` (the default) is the
-    bit-reproducible sequential reference path; any other value routes
-    skip-gram training through the sharded parallel engine
-    (:class:`repro.parallel.trainer.ShardedTrainer`), with ``0`` meaning
-    "use all available cores".  The parallel engine optimises the same
-    objective and is statistically equivalent, but not bit-identical,
-    to the sequential path.  CBOW always trains sequentially.
-    ``pool_backend`` picks the parallel executor: ``"thread"`` (shared
-    address space), ``"process"`` (fork workers over shared-memory
-    syn0/syn1), or ``None`` to inherit the scoped default from
+    Skip-gram trains on one engine,
+    :class:`repro.parallel.trainer.ShardedTrainer`, at every
+    ``workers`` value.  ``workers`` sets its parallelism: ``1`` (the
+    default) runs it on one inline thread, bit-reproducible for a fixed
+    seed; ``0`` means "use all available cores"; with more than one
+    thread, shards train concurrently with lock-free (Hogwild) updates,
+    so vectors vary run to run while staying statistically equivalent.
+    CBOW (an ablation) always trains sequentially.  ``pool_backend``
+    picks the parallel executor: ``"thread"`` (shared address space),
+    ``"process"`` (fork workers over shared-memory syn0/syn1), or
+    ``None`` to inherit the scoped default from
     :func:`repro.parallel.pool.pool_backend`.
 
     ``progress`` is an optional per-epoch callback receiving a
     :class:`~repro.obs.progress.ProgressEvent` (pairs/sec, loss
-    estimate, ETA) on both training paths.  The callback consumes no
-    randomness, so supplying one leaves the trained vectors unchanged.
+    estimate, ETA).  The callback consumes no randomness, so supplying
+    one leaves the trained vectors unchanged.
     """
 
     vector_size: int = 50
@@ -68,7 +72,6 @@ class Word2Vec:
     sample: float = 0.0
     batch_pairs: int = 16_384
     batch_vocab_factor: int = 8
-    shared_negatives: int = 16
     max_norm: float | None = 10.0
     dynamic_window: bool = True
     seed: int = 1
@@ -79,9 +82,6 @@ class Word2Vec:
     )
 
     def __post_init__(self) -> None:
-        self._loss_sum = 0.0
-        self._loss_pairs = 0
-        self._track_loss = False
         if self.workers < 0:
             raise ValueError("workers must be >= 0 (0 means all cores)")
         if self.pool_backend not in (None, "thread", "process"):
@@ -153,11 +153,7 @@ class Word2Vec:
         rng = make_rng(self.seed)
         encoded = [vocab.encode_sentence(np.asarray(s)) for s in sentences]
         encoded = [s for s in encoded if len(s) >= 2]
-
-        syn0 = (
-            (rng.random((len(vocab), self.vector_size)) - 0.5) / self.vector_size
-        ).astype(np.float32)
-        syn1 = np.zeros((len(vocab), self.vector_size), dtype=np.float32)
+        syn0, syn1 = self._initial_weights(len(vocab), rng)
         if init is not None:
             self._warm_start(syn0, syn1, vocab, init)
         sampler = NegativeSampler(vocab.counts) if self.negative else None
@@ -168,20 +164,14 @@ class Word2Vec:
             lengths, self.context, dynamic=self.dynamic_window
         )
         total_pairs = max(int(pairs_per_epoch * self.epochs), 1)
-        processed = 0
         obs.set_gauge("train.pairs_planned", total_pairs)
         obs.add("train.epochs", self.epochs)
-        self._track_loss = self.progress is not None
-
-        # Batched SGD sums the gradients of duplicate words computed
-        # from the same stale vectors.  Keeping the batch small relative
-        # to the vocabulary bounds that duplication factor, which keeps
-        # the batched trainer as stable as sequential word2vec.
-        batch_pairs = min(
-            self.batch_pairs, max(256, self.batch_vocab_factor * len(vocab))
-        )
-
-        if self.workers != 1 and self.architecture == "skipgram":
+        batch_pairs = self._batch_pairs(len(vocab))
+        if self.architecture == "cbow":
+            processed = self._fit_cbow(
+                encoded, syn0, syn1, sampler, keep_probs, total_pairs, batch_pairs, rng
+            )
+        else:
             from repro.parallel.trainer import ShardedTrainer
 
             trainer = ShardedTrainer(self)
@@ -196,14 +186,28 @@ class Word2Vec:
                 batch_pairs,
                 rng,
             )
-            fit_span.set(items=trainer.processed_pairs, items_unit="pairs")
-            return KeyedVectors(
-                tokens=vocab.tokens.copy(), vectors=syn0, context_vectors=syn1
-            )
+            processed = trainer.processed_pairs
+        fit_span.set(items=processed, items_unit="pairs")
+        return KeyedVectors(
+            tokens=vocab.tokens.copy(), vectors=syn0, context_vectors=syn1
+        )
 
+    def _fit_cbow(
+        self,
+        encoded: list[np.ndarray],
+        syn0: np.ndarray,
+        syn1: np.ndarray,
+        sampler: NegativeSampler | None,
+        keep_probs: np.ndarray | None,
+        total_pairs: int,
+        batch_pairs: int,
+        rng: np.random.Generator,
+    ) -> int:
+        """The sequential CBOW loop; returns the pairs trained."""
         centers_buf: list[np.ndarray] = []
         contexts_buf: list[np.ndarray] = []
         buffered = 0
+        processed = 0
 
         def flush() -> None:
             nonlocal buffered, processed
@@ -217,21 +221,16 @@ class Word2Vec:
             for lo in range(0, len(centers), batch_pairs):
                 hi = min(lo + batch_pairs, len(centers))
                 lr = self._learning_rate(processed, total_pairs)
-                if self.architecture == "cbow":
-                    cbow_step(
-                        syn0,
-                        syn1,
-                        centers[lo:hi],
-                        contexts[lo:hi],
-                        sampler,
-                        self.negative,
-                        lr,
-                        rng,
-                    )
-                else:
-                    self._sgd_step(
-                        syn0, syn1, centers[lo:hi], contexts[lo:hi], sampler, lr, rng
-                    )
+                cbow_step(
+                    syn0,
+                    syn1,
+                    centers[lo:hi],
+                    contexts[lo:hi],
+                    sampler,
+                    self.negative,
+                    lr,
+                    rng,
+                )
                 processed += hi - lo
                 obs.add("train.pairs", hi - lo)
                 obs.add("train.batches", 1)
@@ -246,7 +245,6 @@ class Word2Vec:
 
         t_start = time.perf_counter()
         for epoch in range(self.epochs):
-            self._loss_sum, self._loss_pairs = 0.0, 0
             t_epoch = time.perf_counter()
             with obs.span("train.epoch", epoch=epoch):
                 order = rng.permutation(len(encoded))
@@ -273,10 +271,7 @@ class Word2Vec:
             # bit-reproducibility), so progress counts them as seen.
             self._emit_progress(epoch, processed + buffered, total_pairs, t_start)
         flush()
-        fit_span.set(items=processed, items_unit="pairs")
-        return KeyedVectors(
-            tokens=vocab.tokens.copy(), vectors=syn0, context_vectors=syn1
-        )
+        return processed
 
     def fit_pairs(
         self, center_tokens: np.ndarray, context_tokens: np.ndarray
@@ -317,58 +312,26 @@ class Word2Vec:
         contexts = vocab.encode(context_tokens)
         keep = (centers >= 0) & (contexts >= 0)
         centers, contexts = centers[keep], contexts[keep]
-
-        syn0 = (
-            (rng.random((len(vocab), self.vector_size)) - 0.5) / self.vector_size
-        ).astype(np.float32)
-        syn1 = np.zeros((len(vocab), self.vector_size), dtype=np.float32)
+        syn0, syn1 = self._initial_weights(len(vocab), rng)
         sampler = NegativeSampler(vocab.counts) if self.negative else None
-        batch_pairs = min(
-            self.batch_pairs, max(256, self.batch_vocab_factor * len(vocab))
-        )
         total_pairs = max(len(centers) * self.epochs, 1)
         obs.set_gauge("train.pairs_planned", total_pairs)
         obs.add("train.epochs", self.epochs)
-        self._track_loss = self.progress is not None
 
-        if self.workers != 1:
-            from repro.parallel.trainer import ShardedTrainer
+        from repro.parallel.trainer import ShardedTrainer
 
-            trainer = ShardedTrainer(self)
-            trainer.train_pair_stream(
-                centers, contexts, syn0, syn1, sampler, total_pairs, batch_pairs, rng
-            )
-            fit_span.set(items=trainer.processed_pairs, items_unit="pairs")
-            return KeyedVectors(
-                tokens=vocab.tokens.copy(), vectors=syn0, context_vectors=syn1
-            )
-
-        processed = 0
-        t_start = time.perf_counter()
-        for epoch in range(self.epochs):
-            self._loss_sum, self._loss_pairs = 0.0, 0
-            t_epoch = time.perf_counter()
-            with obs.span("train.epoch", epoch=epoch):
-                order = rng.permutation(len(centers))
-                for lo in range(0, len(order), batch_pairs):
-                    batch = order[lo : lo + batch_pairs]
-                    lr = self._learning_rate(processed, total_pairs)
-                    self._sgd_step(
-                        syn0, syn1, centers[batch], contexts[batch], sampler, lr, rng
-                    )
-                    processed += len(batch)
-                    obs.add("train.pairs", len(batch))
-                    obs.add("train.batches", 1)
-                    obs.observe("train.batch_pairs", len(batch))
-                    if self.max_norm is not None:
-                        # IP2VEC-style pair streams are extremely skewed
-                        # (one port can be a quarter of all pairs), so the
-                        # cap must be applied per batch, not per epoch.
-                        _cap_norms(syn0, self.max_norm)
-                        _cap_norms(syn1, self.max_norm)
-            obs.observe("train.epoch_seconds", time.perf_counter() - t_epoch)
-            self._emit_progress(epoch, processed, total_pairs, t_start)
-        fit_span.set(items=processed, items_unit="pairs")
+        trainer = ShardedTrainer(self)
+        trainer.train_pair_stream(
+            centers,
+            contexts,
+            syn0,
+            syn1,
+            sampler,
+            total_pairs,
+            self._batch_pairs(len(vocab)),
+            rng,
+        )
+        fit_span.set(items=trainer.processed_pairs, items_unit="pairs")
         return KeyedVectors(
             tokens=vocab.tokens.copy(), vectors=syn0, context_vectors=syn1
         )
@@ -376,6 +339,26 @@ class Word2Vec:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+
+    def _initial_weights(
+        self, n_vocab: int, rng: np.random.Generator
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Fresh ``(syn0, syn1)``: small random inputs, zero outputs."""
+        syn0 = (
+            (rng.random((n_vocab, self.vector_size)) - 0.5) / self.vector_size
+        ).astype(np.float32)
+        syn1 = np.zeros((n_vocab, self.vector_size), dtype=np.float32)
+        return syn0, syn1
+
+    def _batch_pairs(self, n_vocab: int) -> int:
+        """Raw pairs per SGD batch for a vocabulary of ``n_vocab``.
+
+        Batched SGD sums the gradients of duplicate words computed from
+        the same stale vectors.  Keeping the batch small relative to the
+        vocabulary bounds that duplication factor, which keeps the
+        batched trainer as stable as sequential word2vec.
+        """
+        return min(self.batch_pairs, max(256, self.batch_vocab_factor * n_vocab))
 
     def _warm_start(
         self,
@@ -414,13 +397,15 @@ class Word2Vec:
         return max(self.alpha * (1.0 - fraction), self.min_alpha)
 
     def _emit_progress(
-        self, epoch: int, processed: int, total: int, t_start: float
+        self,
+        epoch: int,
+        processed: int,
+        total: int,
+        t_start: float,
+        loss: float | None = None,
     ) -> None:
         if self.progress is None:
             return
-        loss = (
-            self._loss_sum / self._loss_pairs if self._loss_pairs else None
-        )
         self.progress(
             epoch_event(
                 epoch,
@@ -440,93 +425,3 @@ class Word2Vec:
         ratio = self.sample / freqs
         keep = np.sqrt(ratio) + ratio
         return np.minimum(keep, 1.0)
-
-    def _sgd_step(
-        self,
-        syn0: np.ndarray,
-        syn1: np.ndarray,
-        centers: np.ndarray,
-        contexts: np.ndarray,
-        sampler: NegativeSampler | None,
-        lr: float,
-        rng: np.random.Generator,
-    ) -> None:
-        lr = np.float32(lr)
-        center_vecs = syn0[centers]  # (B, V)
-        context_vecs = syn1[contexts]  # (B, V)
-
-        pos_scores = sigmoid((center_vecs * context_vecs).sum(axis=1))
-        if self._track_loss:
-            # Positive-pair loss estimate for the progress callback;
-            # gated so uninstrumented runs skip the log entirely.
-            self._loss_sum += float(
-                -np.log(np.maximum(pos_scores, 1e-7)).sum()
-            )
-            self._loss_pairs += len(centers)
-        g_pos = ((1.0 - pos_scores) * lr).astype(np.float32)
-
-        grad_centers = g_pos[:, None] * context_vecs
-        grad_contexts = g_pos[:, None] * center_vecs
-
-        if sampler is not None and self.negative:
-            # Negatives are shared within small groups of pairs rather
-            # than drawn per pair.  Each pair still sees `negative`
-            # samples from the smoothed unigram distribution; sharing
-            # turns the (B, K, V) elementwise work into grouped BLAS
-            # matmuls, which is several times faster with identical
-            # expected gradients.
-            batch = len(centers)
-            group = max(min(self.shared_negatives, batch), 1)
-            n_groups = batch // group
-            main = n_groups * group
-            if main:
-                self._negative_update(
-                    syn0,
-                    syn1,
-                    center_vecs[:main].reshape(n_groups, group, -1),
-                    centers[:main],
-                    grad_centers[:main].reshape(n_groups, group, -1),
-                    sampler,
-                    lr,
-                    rng,
-                )
-            if main < batch:
-                self._negative_update(
-                    syn0,
-                    syn1,
-                    center_vecs[main:][None, :, :],
-                    centers[main:],
-                    grad_centers[main:][None, :, :],
-                    sampler,
-                    lr,
-                    rng,
-                )
-
-        scatter_add(syn1, contexts, grad_contexts)
-        scatter_add(syn0, centers, grad_centers)
-
-    def _negative_update(
-        self,
-        syn0: np.ndarray,
-        syn1: np.ndarray,
-        center_groups: np.ndarray,  # (G, S, V), a view into center_vecs
-        centers: np.ndarray,
-        grad_center_groups: np.ndarray,  # (G, S, V), accumulated in place
-        sampler: NegativeSampler,
-        lr: np.float32,
-        rng: np.random.Generator,
-    ) -> None:
-        """Apply the negative-sampling part of the SGNS gradient."""
-        n_groups, _, _ = center_groups.shape
-        negatives = sampler.sample(rng, (n_groups, self.negative))  # (G, K)
-        obs.add("train.negative_draws", negatives.size)
-        neg_vecs = syn1[negatives]  # (G, K, V)
-        scores = sigmoid(
-            np.matmul(center_groups, neg_vecs.transpose(0, 2, 1))
-        )  # (G, S, K)
-        g_neg = (-scores * lr).astype(np.float32)
-        grad_center_groups += np.matmul(g_neg, neg_vecs)
-        grad_negatives = np.matmul(g_neg.transpose(0, 2, 1), center_groups)
-        scatter_add(
-            syn1, negatives.reshape(-1), grad_negatives.reshape(-1, syn1.shape[1])
-        )

@@ -12,30 +12,26 @@ from __future__ import annotations
 import numpy as np
 
 
-def expected_pair_count(
+def sentence_pair_counts(
     lengths: np.ndarray, context: int, dynamic: bool = True
-) -> float:
-    """Expected (center, context) pairs for sentences of given lengths.
+) -> np.ndarray:
+    """Expected (center, context) pairs of each sentence, by its length.
 
     With dynamic windows the per-center window ``b`` is uniform on
     ``1..c`` and each side contributes ``E[min(k, b)]`` pairs, where
-    ``k`` is the room available on that side.  Getting this expectation
-    right matters: the linear learning-rate schedule divides by the
-    total pair count, and an overestimate (e.g. assuming sentences are
-    longer than ``2c``) leaves the final learning rate far above
-    ``min_alpha``, visibly degrading large-``c`` embeddings.
+    ``k`` is the room available on that side.  Sentences shorter than
+    two tokens emit no pairs.
     """
     if context < 1:
         raise ValueError("context must be positive")
     lengths = np.asarray(lengths, dtype=np.int64)
-    lengths = lengths[lengths >= 2]
     if lengths.size == 0:
-        return 0.0
-    # One closed-form pass over the length *histogram*: the per-position
-    # expectation depends only on the one-sided room k, so a sentence of
-    # length n contributes 2 * sum_{k<n} E[min(k, b)] (both sides are
-    # symmetric) and the prefix sums cover every n at once.
-    n_max = int(lengths.max())
+        return np.zeros(0)
+    # One closed-form table over every length up to the longest: the
+    # per-position expectation depends only on the one-sided room k, so
+    # a sentence of length n expects 2 * sum_{k<n} E[min(k, b)] pairs
+    # (both sides are symmetric) and prefix sums cover every n at once.
+    n_max = max(int(lengths.max()), 1)
     k = np.arange(n_max)  # room on one side, per position
     if dynamic:
         # E[min(k, b)], b ~ U{1..c}:
@@ -48,9 +44,22 @@ def expected_pair_count(
         expected[k >= context] = (context + 1) / 2
     else:
         expected = np.minimum(k, context).astype(float)
-    prefix = np.cumsum(expected)  # prefix[i] = sum of expected[0..i]
-    histogram = np.bincount(lengths, minlength=n_max + 1)[2:]
-    return float(2.0 * (histogram * prefix[1:]).sum())
+    by_length = 2.0 * np.concatenate([[0.0], np.cumsum(expected)])
+    return by_length[lengths]
+
+
+def expected_pair_count(
+    lengths: np.ndarray, context: int, dynamic: bool = True
+) -> float:
+    """Expected (center, context) pairs for sentences of given lengths.
+
+    The sum of :func:`sentence_pair_counts`.  Getting this expectation
+    right matters: the linear learning-rate schedule divides by the
+    total pair count, and an overestimate (e.g. assuming sentences are
+    longer than ``2c``) leaves the final learning rate far above
+    ``min_alpha``, visibly degrading large-``c`` embeddings.
+    """
+    return float(sentence_pair_counts(lengths, context, dynamic).sum())
 
 
 def skipgram_pairs(

@@ -1,8 +1,10 @@
 """Tests for the parallel engine and the vectorized hot paths.
 
-Covers the PR's contract: ``workers=1`` stays on the exact sequential
-path, ``workers>1`` trains statistically equivalent embeddings, and the
-vectorized ``majority_vote`` / ``symmetric_adjacency`` /
+Covers the engine's contract: every skip-gram fit trains through
+:class:`~repro.parallel.trainer.ShardedTrainer` (``workers=1`` on one
+inline thread, bit-reproducible), shards stay within the raw-pair
+budget, ``workers>1`` trains statistically equivalent embeddings, and
+the vectorized ``majority_vote`` / ``symmetric_adjacency`` /
 ``expected_pair_count`` / flat pair generation match their reference
 (loop-based) implementations exactly.
 """
@@ -61,6 +63,38 @@ class TestWorkerPool:
             with pytest.raises(ValueError, match="boom"):
                 pool.submit(boom).result()
 
+    def test_pool_backend_scope_is_per_thread(self):
+        import threading
+
+        from repro.parallel.pool import default_backend, pool_backend
+
+        entered, release = threading.Event(), threading.Event()
+        seen = {}
+
+        def writer():
+            with pool_backend("process"):
+                seen["writer"] = default_backend()
+                entered.set()
+                release.wait(10)
+            seen["writer_after"] = default_backend()
+
+        thread = threading.Thread(target=writer)
+        thread.start()
+        try:
+            assert entered.wait(10)
+            seen["reader"] = default_backend()
+            seen["reader_pool"] = WorkerPool(2).backend
+        finally:
+            release.set()
+            thread.join(10)
+        assert seen == {
+            "writer": "process",
+            "reader": "thread",
+            "reader_pool": "thread",
+            "writer_after": "thread",
+        }
+        assert default_backend() == "thread"
+
     def test_threads_capped_at_cores(self):
         import os
 
@@ -76,7 +110,8 @@ class TestSgdKernels:
 
     def test_scaled_scatter_add_matches_reference(self):
         rng = np.random.default_rng(0)
-        for n_rows, batch in ((8, 200), (500, 40)):  # both code paths
+        # dense selector, sparse selector, sort + reduceat
+        for n_rows, batch in ((8, 400), (300, 400), (5000, 40)):
             matrix = rng.normal(size=(n_rows, 6)).astype(np.float32)
             reference = matrix.copy()
             rows = rng.integers(0, n_rows, size=batch)
@@ -309,15 +344,28 @@ class TestParallelKnnSearch:
 
 
 class TestParallelTrainer:
-    def test_workers1_never_touches_parallel_engine(self, monkeypatch):
+    def test_workers1_trains_inline_through_engine(self, monkeypatch):
+        from repro.parallel.trainer import ShardedTrainer
+
         class Boom:
             def __init__(self, *args, **kwargs):
-                raise AssertionError("parallel engine invoked at workers=1")
+                raise AssertionError("thread executor started at workers=1")
 
-        monkeypatch.setattr("repro.parallel.trainer.ShardedTrainer", Boom)
-        sentences = _community_sentences(n=30)
-        keyed = Word2Vec(vector_size=8, context=3, epochs=1, seed=5).fit(sentences)
-        assert len(keyed) == 40
+        monkeypatch.setattr("repro.parallel.pool.ThreadPoolExecutor", Boom)
+        calls = []
+        for name in ("train_corpus", "train_pair_stream"):
+            original = getattr(ShardedTrainer, name)
+
+            def spy(self, *args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(ShardedTrainer, name, spy)
+        model = Word2Vec(vector_size=8, context=3, epochs=1, seed=5)
+        assert len(model.fit(_community_sentences(n=30))) == 40
+        pairs = np.arange(200) % 20
+        assert len(model.fit_pairs(pairs, pairs[::-1])) == 20
+        assert calls == ["train_corpus", "train_pair_stream"]
 
     def test_workers2_uses_parallel_engine(self, monkeypatch):
         calls = []
@@ -388,8 +436,72 @@ class TestParallelTrainer:
         assert len(keyed)
 
 
+class TestShardBudget:
+    def test_raw_pairs_per_shard_stay_within_budget(self, monkeypatch):
+        import repro.parallel.trainer as trainer_module
+
+        budget = 3000
+        monkeypatch.setattr(trainer_module, "PAIR_BUDGET", budget)
+        shard_pairs = []
+        original = trainer_module.skipgram_pairs_flat
+
+        def spy(*args, **kwargs):
+            centers, contexts = original(*args, **kwargs)
+            shard_pairs.append(len(centers))
+            return centers, contexts
+
+        monkeypatch.setattr(trainer_module, "skipgram_pairs_flat", spy)
+        # Without dynamic windows a length-30 sentence emits exactly
+        # 2 * (0 + 1 + 2 + 27 * 3) = 168 pairs at context 3.
+        per_sentence = 168
+        for n in (40, 160, 640):
+            shard_pairs.clear()
+            Word2Vec(
+                vector_size=8, context=3, epochs=1, seed=1, dynamic_window=False
+            ).fit(_community_sentences(n=n))
+            assert sum(shard_pairs) == n * per_sentence
+            assert max(shard_pairs) <= budget + per_sentence
+            assert len(shard_pairs) >= n * per_sentence / budget
+
+
+class TestInlineShardedQuality:
+    """Several shards on an inline pool must train as well as one.
+
+    ``workers=2`` on a pool clamped to one core runs four shards per
+    epoch deterministically, with no thread races involved.
+    """
+
+    @pytest.fixture(autouse=True)
+    def one_core(self, monkeypatch):
+        monkeypatch.setattr("repro.parallel.pool.os.cpu_count", lambda: 1)
+
+    def test_community_margin(self):
+        # At 1600 sentences each shard holds dozens of copies of every
+        # pair; merging copies beyond their own SGD batch would turn
+        # them into one many-fold step from stale vectors.
+        keyed = Word2Vec(
+            vector_size=16, context=5, epochs=5, seed=3, workers=2
+        ).fit(_community_sentences(n=1600))
+        sims = keyed.unit_vectors @ keyed.unit_vectors.T
+        within = (sims[:20, :20].sum() - 20) / (20 * 19)
+        across = sims[:20, 20:].mean()
+        assert within > across + 0.4
+
+    def test_ip2vec_accuracy(self, small_bundle):
+        from repro.baselines.ip2vec import Ip2Vec
+
+        trace = small_bundle.trace
+        senders = np.intersect1d(
+            trace.active_senders(10), trace.last_days(1.0).observed_senders()
+        )
+        report = Ip2Vec(vector_size=16, epochs=3, seed=1, workers=2).evaluate(
+            trace, small_bundle.truth, senders, k=7
+        )
+        assert report.accuracy > 0.15
+
+
 class TestParallelAccuracy:
-    """workers>1 must track sequential LOO accuracy on the seed scenario."""
+    """workers>1 must track the inline workers=1 LOO accuracy."""
 
     @pytest.fixture(scope="class")
     def reports(self, small_bundle):

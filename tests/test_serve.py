@@ -560,6 +560,36 @@ class TestServerClient:
             service.close()
             server.server_close()
 
+    def test_overlong_line_is_refused_and_daemon_keeps_serving(
+        self, fresh_fit, monkeypatch
+    ):
+        import socket
+
+        import repro.serve.server as server_module
+
+        limit = 4096
+        monkeypatch.setattr(server_module, "MAX_REQUEST_BYTES", limit)
+        darkvec, _ = fresh_fit
+        service = DarkVecService(darkvec, with_clusters=False)
+        server = ServeServer(service, port=0)
+        server.start_background()
+        try:
+            with socket.create_connection(("127.0.0.1", server.port), 10) as sock:
+                # one byte over the limit and still no newline in sight
+                head = b'{"op": "ping", "pad": "'
+                sock.sendall(head + b"x" * (limit + 1 - len(head)))
+                reader = sock.makefile("rb")
+                reply = json.loads(reader.readline())
+                assert reply["ok"] is False
+                assert str(limit) in reply["error"]
+                assert reader.readline() == b""  # connection closed
+            with ServeClient(port=server.port) as client:
+                ip = ip_to_str(int(service.snapshot.sender_ips[0]))
+                assert client.classify(ip)["ip"] == ip
+        finally:
+            service.close()
+            server._shutdown_requested.set()
+
     def test_ingest_needs_a_payload(self, fresh_fit):
         darkvec, _ = fresh_fit
         service = DarkVecService(darkvec, with_clusters=False)
