@@ -168,12 +168,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     corpus_seconds = time.perf_counter() - t0
 
-    # One untimed single-epoch fit first: until large frees raise
-    # glibc's mmap and trim thresholds, a fresh process hands freed
-    # memory back to the OS and every batch's temporaries page-fault.
-    # Without it the first setting in the list runs ~1.5x slower than
-    # the same setting run later.
-    run_setting(bundle.trace, bundle.truth, 1, 1, args.model_seed)
     results = []
     for workers in worker_counts:
         print(f"running fit+evaluate+cluster at workers={workers} ...")

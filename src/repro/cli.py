@@ -78,7 +78,7 @@ from repro.io.csvio import read_trace_csv, write_trace_csv
 from repro.knn.loo import leave_one_out_predictions
 from repro.knn.report import classification_report
 from repro.labels.groundtruth import GroundTruth
-from repro.trace.address import ip_to_str, str_to_ip
+from repro.trace.address import ip_to_str, strs_to_ips
 from repro.trace.generator import generate_trace
 from repro.trace.scenario import default_scenario
 from repro.utils.tables import format_table
@@ -702,8 +702,10 @@ def _read_labels(path: Path) -> GroundTruth:
         header = next(reader, None)
         if header != ["src_ip", "label"]:
             raise ValueError(f"unexpected labels header: {header}")
-        for ip_text, label in reader:
-            truth.add_class(label, np.array([str_to_ip(ip_text)]))
+        rows = [(ip_text, label) for ip_text, label in reader]
+    ips = strs_to_ips([ip_text for ip_text, _ in rows])
+    for ip, (_, label) in zip(ips.tolist(), rows):
+        truth.add_class(label, np.array([ip]))
     return truth
 
 

@@ -16,10 +16,10 @@ from typing import IO, Iterator
 
 import numpy as np
 
-from repro.trace.address import ip_to_str, str_to_ip
-from repro.trace.packet import Trace, proto_name
+from repro.trace.address import ip_to_str, strs_to_ips
+from repro.trace.packet import PROTO_NAMES, Trace, proto_name
 
-_PROTO_NUM = {"tcp": 6, "udp": 17, "icmp": 1}
+_PROTO_NUM = {name: number for number, name in PROTO_NAMES.items()}
 
 
 def _open(path: Path, mode: str) -> IO[str]:
@@ -124,18 +124,26 @@ def read_trace_ndjson(path: str | Path) -> Trace:
             try:
                 record = json.loads(line)
                 times.append(float(record["ts"]))
-                ips.append(str_to_ip(record["src"]))
+                if not isinstance(record["src"], str):
+                    raise ValueError(f"src {record['src']!r} is not a dotted quad")
+                ips.append(record["src"])
                 receivers.append(int(record["dst"]))
                 ports.append(int(record["port"]))
                 protos.append(_PROTO_NUM[record["proto"]])
+                if record["mirai"] not in (0, 1):  # true/false or 0/1
+                    raise ValueError(f"mirai {record['mirai']!r} is not a flag")
                 mirai.append(bool(record["mirai"]))
             except (KeyError, ValueError, json.JSONDecodeError) as exc:
                 raise ValueError(
                     f"{path}:{line_number}: malformed record ({exc})"
                 ) from None
+    try:
+        sender_ips = strs_to_ips(ips)
+    except ValueError as exc:
+        raise ValueError(f"{path}: malformed record ({exc})") from None
     return Trace.from_events(
         times=np.array(times),
-        sender_ips_per_packet=np.array(ips, dtype=np.uint64),
+        sender_ips_per_packet=sender_ips,
         ports=np.array(ports),
         protos=np.array(protos),
         receivers=np.array(receivers),

@@ -8,7 +8,8 @@ the library:
   real concurrency on the BLAS-heavy hot paths).
 * :mod:`repro.parallel.sgd` — vectorized SGNS kernels (sigmoid lookup
   table, sparse-matmul scatter-add, per-batch pair deduplication) used
-  by the sharded trainer.
+  by the sharded trainer, with per-worker reusable buffers
+  (:class:`~repro.parallel.sgd.SgdScratch`).
 * :mod:`repro.parallel.trainer` — the Hogwild-style
   :class:`~repro.parallel.trainer.ShardedTrainer`, the only skip-gram
   trainer: :class:`~repro.w2v.model.Word2Vec` runs every skip-gram fit
@@ -27,12 +28,18 @@ from repro.parallel.pool import (
     pool_backend,
     resolve_workers,
 )
-from repro.parallel.sgd import dedup_pairs, scaled_scatter_add, sigmoid_table
+from repro.parallel.sgd import (
+    SgdScratch,
+    dedup_pairs,
+    scaled_scatter_add,
+    sigmoid_table,
+)
 from repro.parallel.shm import SharedArray
 from repro.parallel.trainer import ShardedTrainer
 
 __all__ = [
     "POOL_BACKENDS",
+    "SgdScratch",
     "SharedArray",
     "ShardedTrainer",
     "WorkerPool",

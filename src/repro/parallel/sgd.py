@@ -16,9 +16,17 @@ Three optimisations make the batched step cheap:
   the summed positive gradient is exactly ``multiplicity ×`` the
   single-pair gradient.  Across batches the vectors move, so pairs are
   never merged beyond their own batch.
+
+Every per-batch temporary of a step lives in a :class:`SgdScratch`
+buffer that its worker reuses from batch to batch.  A warm step then
+allocates nothing large, so its speed does not depend on whether
+glibc's malloc still returns freed blocks to the OS (which makes every
+fresh temporary page-fault).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -27,9 +35,11 @@ from repro.w2v.mathutils import scatter_add
 from repro.w2v.negative import NegativeSampler
 
 try:  # scipy is a declared dependency, but degrade gracefully without it
-    import scipy.sparse as _sparse
+    # The kernels behind ``csr_matrix((data, (rows, cols))) @ dense``,
+    # called directly so that they write into reused buffers.
+    from scipy.sparse import _sparsetools
 except ImportError:  # pragma: no cover - exercised only without scipy
-    _sparse = None
+    _sparsetools = None
 
 _TABLE_SIZE = 2048
 _TABLE_CLAMP = 12.0
@@ -51,15 +61,67 @@ DENSE_SELECTOR_CELLS = 1 << 16
 SHARED_NEGATIVES = 64
 
 
-def sigmoid_table(x: np.ndarray) -> np.ndarray:
+class SgdScratch:
+    """Reusable per-worker buffers for the trainer's large arrays.
+
+    :func:`sgd_step_fast` and
+    :func:`~repro.w2v.skipgram.skipgram_pairs_flat` keep their
+    temporaries here.  Each named buffer grows to the largest request
+    it has served (with a quarter of headroom) and is handed out as a
+    view after that, so its size follows the fit's shards, batch and
+    vocabulary.  Buffers are not thread-safe: every concurrent
+    (Hogwild) worker needs its own.
+    """
+
+    def __init__(self) -> None:
+        self._buffers: dict[str, np.ndarray] = {}
+        self._views: dict[str, np.ndarray] = {}  # last view of each buffer
+        self._arange = np.empty(0, dtype=np.int32)
+        self._ones = np.empty(0, dtype=np.float32)
+
+    def get(self, name: str, shape: tuple[int, ...], dtype=np.float32) -> np.ndarray:
+        """Uninitialised C-contiguous ``shape`` view of buffer ``name``."""
+        view = self._views.get(name)
+        if view is not None and view.shape == shape:
+            return view  # tiny fits repeat their shapes: skip the slicing
+        size = math.prod(shape)
+        buffer = self._buffers.get(name)
+        if buffer is None or buffer.size < size:
+            buffer = self._buffers[name] = np.empty(size + size // 4, dtype=dtype)
+        view = self._views[name] = buffer[:size].reshape(shape)
+        return view
+
+    def arange(self, n: int) -> np.ndarray:
+        """``0 .. n-1`` as int32 (read-only by convention)."""
+        if len(self._arange) < n:
+            self._arange = np.arange(n + n // 4, dtype=np.int32)
+        return self._arange[:n]
+
+    def ones(self, n: int) -> np.ndarray:
+        """``n`` float32 ones (read-only by convention)."""
+        if len(self._ones) < n:
+            self._ones = np.ones(n + n // 4, dtype=np.float32)
+        return self._ones[:n]
+
+
+def sigmoid_table(
+    x: np.ndarray, out: np.ndarray | None = None, index: np.ndarray | None = None
+) -> np.ndarray:
     """Table-lookup logistic function (word2vec's EXP_TABLE trick).
 
     Quantises the input to one of 2048 buckets on [-12, 12]; the
     resulting resolution (~0.012 in x) is far below the SGD noise floor
-    and several times faster than evaluating ``exp``.
+    and several times faster than evaluating ``exp``.  With ``out`` (a
+    float32 array shaped like ``x``, ``x`` itself allowed) and an int32
+    ``index`` buffer of that shape it allocates nothing.
     """
-    idx = ((x + np.float32(_TABLE_CLAMP)) * _SIG_SCALE).astype(np.int32)
-    return _SIG_TABLE.take(idx, mode="clip")
+    shifted = np.add(x, np.float32(_TABLE_CLAMP), out=out)
+    shifted *= _SIG_SCALE
+    if index is None:
+        index = shifted.astype(np.int32)
+    else:
+        np.copyto(index, shifted, casting="unsafe")
+    return _SIG_TABLE.take(index, mode="clip", out=out)
 
 
 def scaled_scatter_add(
@@ -67,6 +129,7 @@ def scaled_scatter_add(
     rows: np.ndarray,
     updates: np.ndarray,
     scale: np.ndarray | None = None,
+    scratch: SgdScratch | None = None,
 ) -> None:
     """``matrix[rows] += scale[:, None] * updates`` with duplicates summed.
 
@@ -75,22 +138,42 @@ def scaled_scatter_add(
     for small problems (:data:`DENSE_SELECTOR_CELLS`), a CSR one when
     scipy is available and the batch is large relative to the matrix,
     and a sort + reduce otherwise.  Folding ``scale`` into the selector
-    avoids materialising the scaled update block.
+    avoids materialising the scaled update block.  The first two sum
+    into a zeroed ``scratch`` matrix that is then added to ``matrix``,
+    in the order ``csr_matrix @ dense`` sums; all arrays are float32.
     """
     batch = len(rows)
     if batch == 0:
         return
-    n_rows = len(matrix)
-    data = np.ones(batch, dtype=np.float32) if scale is None else scale
+    scratch = SgdScratch() if scratch is None else scratch
+    n_rows, dim = matrix.shape
+    data = scratch.ones(batch) if scale is None else scale
     if n_rows * batch <= DENSE_SELECTOR_CELLS:
-        selector = np.zeros((n_rows, batch), dtype=np.float32)
-        selector[rows, np.arange(batch)] = data
-        matrix += selector @ updates
-    elif _sparse is not None and n_rows <= 8 * batch:
-        selector = _sparse.csr_matrix(
-            (data, (rows, np.arange(batch))), shape=(n_rows, batch)
+        selector = scratch.get("selector", (n_rows, batch))
+        selector.fill(0.0)
+        selector[rows, scratch.arange(batch)] = data
+        summed = scratch.get("summed", matrix.shape)
+        matrix += np.matmul(selector, updates, out=summed)
+    elif _sparsetools is not None and n_rows <= 8 * batch:
+        # The kernels write through these indices unchecked.
+        if rows.min() < 0 or rows.max() >= n_rows:
+            raise ValueError("row index exceeds matrix dimensions")
+        coo_rows = scratch.get("coo_rows", (batch,), np.int32)
+        coo_rows[...] = rows
+        indptr = scratch.get("indptr", (n_rows + 1,), np.int32)
+        indices = scratch.get("indices", (batch,), np.int32)
+        values = scratch.get("values", (batch,))
+        columns = scratch.arange(batch)
+        _sparsetools.coo_tocsr(
+            n_rows, batch, batch, coo_rows, columns, data, indptr, indices, values
         )
-        np.add(matrix, selector @ updates, out=matrix)
+        summed = scratch.get("summed", matrix.shape)
+        summed.fill(0.0)
+        flat_updates, flat_summed = np.ravel(updates), summed.reshape(-1)
+        _sparsetools.csr_matvecs(
+            n_rows, batch, dim, indptr, indices, values, flat_updates, flat_summed
+        )
+        np.add(matrix, summed, out=matrix)
     else:
         if scale is not None:
             updates = updates * scale[:, None]
@@ -131,6 +214,7 @@ def sgd_step_fast(
     lr: float,
     rng: np.random.Generator,
     track_loss: bool = False,
+    scratch: SgdScratch | None = None,
 ) -> float | None:
     """One batched SGNS step over deduplicated (center, context) pairs.
 
@@ -154,6 +238,7 @@ def sgd_step_fast(
         track_loss: when true, return the multiplicity-weighted sum of
             the positive-pair losses ``-log σ(u·v)`` (else ``None``).
             Off by default — the extra ``log`` is not free.
+        scratch: the calling worker's buffers (fresh ones when omitted).
 
     Returns:
         The batch's summed positive-pair loss when ``track_loss`` is
@@ -162,6 +247,7 @@ def sgd_step_fast(
     n_pairs = len(centers)
     if n_pairs == 0:
         return 0.0 if track_loss else None
+    scratch = SgdScratch() if scratch is None else scratch
     lr32 = np.float32(lr)
     dim = syn0.shape[1]
     # Balanced groups of at most SHARED_NEGATIVES pairs share one
@@ -172,38 +258,71 @@ def sgd_step_fast(
     n_groups = -(-n_pairs // SHARED_NEGATIVES)
     group = -(-n_pairs // n_groups)
     padded = n_groups * group
-    grouped = np.zeros((padded, dim), dtype=np.float32)
-    center_vecs = np.take(syn0, centers, axis=0, out=grouped[:n_pairs], mode="clip")
-    context_vecs = syn1[contexts]
+    grouped = scratch.get("grouped", (padded, dim))
+    grouped[n_pairs:] = 0.0
+    center_vecs = syn0.take(centers, axis=0, out=grouped[:n_pairs], mode="clip")
+    context_vecs = syn1.take(
+        contexts, axis=0, out=scratch.get("context_vecs", (n_pairs, dim)), mode="clip"
+    )
 
-    pos_scores = sigmoid_table(np.einsum("ij,ij->i", center_vecs, context_vecs))
+    pos_scores = np.einsum(
+        "ij,ij->i", center_vecs, context_vecs, out=scratch.get("pos", (n_pairs,))
+    )
+    sigmoid_table(
+        pos_scores,
+        out=pos_scores,
+        index=scratch.get("pos_index", (n_pairs,), np.int32),
+    )
     loss: float | None = None
     if track_loss:
         loss = float(
             (-np.log(np.maximum(pos_scores, 1e-7)) * multiplicity).sum()
         )
-    g_pos = ((1.0 - pos_scores) * lr32 * multiplicity).astype(np.float32)
-    grad_centers = g_pos[:, None] * context_vecs
+    g_pos = np.subtract(1.0, pos_scores, out=scratch.get("g_pos", (n_pairs,)))
+    g_pos *= lr32
+    g_pos *= multiplicity
+    # g_pos * context_vecs, in place: the context rows are not read again.
+    grad_centers = np.multiply(context_vecs, g_pos[:, None], out=context_vecs)
 
     if sampler is not None and negative:
-        weight = np.zeros(padded, dtype=np.float32)
-        weight[:n_pairs] = multiplicity
+        lr_weight = scratch.get("lr_weight", (padded,))
+        lr_weight[n_pairs:] = 0.0
+        np.multiply(multiplicity, lr32, out=lr_weight[:n_pairs])
         grouped = grouped.reshape(n_groups, group, dim)
         negatives = sampler.sample(rng, (n_groups, negative))  # (G, K)
         obs.add("train.negative_draws", int(negatives.size))
-        neg_vecs = syn1[negatives]  # (G, K, V)
-        scores = sigmoid_table(np.matmul(grouped, neg_vecs.transpose(0, 2, 1)))
-        g_neg = (-scores * (lr32 * weight).reshape(n_groups, group, 1)).astype(
-            np.float32
+        neg_vecs = syn1.take(
+            negatives,
+            axis=0,
+            out=scratch.get("neg_vecs", (n_groups, negative, dim)),
+            mode="clip",
+        )  # (G, K, V)
+        shape = (n_groups, group, negative)
+        scores = np.matmul(
+            grouped, neg_vecs.transpose(0, 2, 1), out=scratch.get("scores", shape)
         )
-        grad_centers += np.matmul(g_neg, neg_vecs).reshape(padded, dim)[:n_pairs]
-        grad_negatives = np.matmul(g_neg.transpose(0, 2, 1), grouped)
+        g_neg = sigmoid_table(
+            scores, out=scores, index=scratch.get("neg_index", shape, np.int32)
+        )
+        np.negative(g_neg, out=g_neg)
+        g_neg *= lr_weight.reshape(n_groups, group, 1)
+        grad_centers += np.matmul(
+            g_neg, neg_vecs, out=scratch.get("neg_grad", (n_groups, group, dim))
+        ).reshape(padded, dim)[:n_pairs]
+        grad_negatives = np.matmul(
+            g_neg.transpose(0, 2, 1),
+            grouped,
+            out=scratch.get("grad_negatives", (n_groups, negative, dim)),
+        )
         scaled_scatter_add(
-            syn1, negatives.reshape(-1), grad_negatives.reshape(-1, dim)
+            syn1,
+            negatives.reshape(-1),
+            grad_negatives.reshape(-1, dim),
+            scratch=scratch,
         )
 
     # Fused: the context gradient is g_pos * center_vecs, so folding
     # g_pos into the selector skips the dense outer product.
-    scaled_scatter_add(syn1, contexts, center_vecs, scale=g_pos)
-    scaled_scatter_add(syn0, centers, grad_centers)
+    scaled_scatter_add(syn1, contexts, center_vecs, scale=g_pos, scratch=scratch)
+    scaled_scatter_add(syn0, centers, grad_centers, scratch=scratch)
     return loss

@@ -15,7 +15,10 @@ sentence order (:func:`~repro.w2v.skipgram.skipgram_pairs_flat`).  It
 shuffles that raw stream within windows of two batches, cuts it into
 SGD batches of ``batch_pairs`` pairs, deduplicates each batch and
 shuffles the batch's unique pairs; an *SGD* task then replays the
-batches through :func:`~repro.parallel.sgd.sgd_step_fast`.  Generation
+batches through :func:`~repro.parallel.sgd.sgd_step_fast`.  Both kinds
+of task keep their large arrays in the worker thread's own
+:class:`~repro.parallel.sgd.SgdScratch`, so a warm fit does not fault
+fresh memory in for every shard and batch.  Generation
 for shard ``i+1`` is prefetched while SGD runs on shard ``i``, and with
 several threads the SGD tasks of different shards run concurrently,
 updating the shared ``syn0``/``syn1`` matrices lock-free (Hogwild);
@@ -51,7 +54,7 @@ from repro.parallel.pool import (
     fork_available,
     resolve_workers,
 )
-from repro.parallel.sgd import dedup_pairs, sgd_step_fast
+from repro.parallel.sgd import SgdScratch, dedup_pairs, sgd_step_fast
 from repro.parallel.shm import SharedArray
 from repro.w2v.mathutils import cap_row_norms
 from repro.w2v.negative import NegativeSampler
@@ -237,6 +240,9 @@ class ShardedTrainer:
         self._loss_pairs = 0
         self._shared_processed = None
         self._track_loss = self.model.progress is not None
+        # Buffers, one set per worker thread (Hogwild threads must not
+        # share them), reused across that thread's shards and batches.
+        self._scratch = threading.local()
 
     def _train_epochs(
         self,
@@ -427,7 +433,12 @@ class ShardedTrainer:
             np.int64
         )
         centers, contexts = skipgram_pairs_flat(
-            tokens, shard_starts, model.context, rng, dynamic=model.dynamic_window
+            tokens,
+            shard_starts,
+            model.context,
+            rng,
+            dynamic=model.dynamic_window,
+            scratch=self._thread_scratch(),
         )
         if len(centers) == 0:
             return None
@@ -464,6 +475,18 @@ class ShardedTrainer:
                 )
         return batches
 
+    def _thread_scratch(self) -> SgdScratch:
+        """The calling worker thread's buffers for pair generation and SGD.
+
+        A thread runs one task at a time and a generation task copies
+        its pairs into batches before returning, so the two kinds of
+        task can share one set.
+        """
+        scratch = getattr(self._scratch, "buffers", None)
+        if scratch is None:
+            scratch = self._scratch.buffers = SgdScratch()
+        return scratch
+
     def _claim(self, represented: int) -> float:
         """Advance the processed-pairs counter; returns the batch's lr.
 
@@ -492,6 +515,7 @@ class ShardedTrainer:
         """
         model = self.model
         batches, rng = payload
+        scratch = self._thread_scratch()
         loss_sum = 0.0
         loss_pairs = 0
         for centers, contexts, multiplicity, raw in batches:
@@ -507,6 +531,7 @@ class ShardedTrainer:
                 lr,
                 rng,
                 track_loss=self._track_loss,
+                scratch=scratch,
             )
             obs.add("train.pairs", raw)
             obs.add("train.batches", 1)

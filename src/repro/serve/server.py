@@ -92,27 +92,28 @@ def _batch_from_request(request: dict, ingest_root: Path | None = None) -> Trace
     times = np.asarray(events["times"], dtype=np.float64)
     if not len(times):
         return Trace.empty()
-    from repro.trace.address import str_to_ip
+    from repro.trace.address import strs_to_ips
 
-    ips = np.asarray(
-        [str_to_ip(ip) if isinstance(ip, str) else int(ip) for ip in events["ips"]],
-        dtype=np.uint64,
-    )
+    # Addresses come as dotted quads or integers; Trace.from_events
+    # range-checks every column, so nothing wraps into another value.
+    given = events["ips"]
+    is_text = np.fromiter((isinstance(ip, str) for ip in given), bool, len(given))
+    ips = np.zeros(len(given), dtype=np.int64)
+    ips[is_text] = strs_to_ips([ip for ip in given if isinstance(ip, str)])
+    ips[~is_text] = [ip for ip in given if not isinstance(ip, str)]
     n = len(times)
 
-    def column(name, dtype, default):
+    def column(name, default):
         values = events.get(name)
-        if values is None:
-            return np.full(n, default, dtype=dtype)
-        return np.asarray(values, dtype=dtype)
+        return np.full(n, default) if values is None else np.asarray(values)
 
     return Trace.from_events(
         times=times,
         sender_ips_per_packet=ips,
-        ports=column("ports", np.int32, 0),
-        protos=column("protos", np.uint8, 6),
-        receivers=column("receivers", np.uint8, 1),
-        mirai=column("mirai", bool, False),
+        ports=column("ports", 0),
+        protos=column("protos", 6),
+        receivers=column("receivers", 1),
+        mirai=column("mirai", False),
     )
 
 

@@ -9,6 +9,8 @@ devices scattered across the whole address space.  The
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from repro.utils.rng import make_rng
@@ -17,6 +19,16 @@ from repro.utils.rng import make_rng
 # 0 (this network), 10 (private), 127 (loopback), 224+ (multicast and
 # reserved).
 _FORBIDDEN_FIRST_OCTETS = frozenset({0, 10, 127}) | set(range(224, 256))
+
+
+#: The one dotted-quad grammar: four octets of one to three ASCII
+#: digits joined by dots, each octet at most 255.  :func:`str_to_ip`
+#: and the vector codec (:func:`strs_to_ips`, :func:`parse_quads`)
+#: accept exactly these strings.
+_QUAD = re.compile(r"([0-9]{1,3})\.([0-9]{1,3})\.([0-9]{1,3})\.([0-9]{1,3})")
+QUAD_MAX_CHARS = 15
+
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
 
 
 def ip_to_str(ip: int) -> str:
@@ -28,17 +40,92 @@ def ip_to_str(ip: int) -> str:
 
 
 def str_to_ip(text: str) -> int:
-    """Parse a dotted quad into a uint32 address."""
-    octets = text.split(".")
-    if len(octets) != 4:
+    """Parse a dotted quad into a uint32 address (strict, see ``_QUAD``)."""
+    match = _QUAD.fullmatch(text)
+    if match is None:
         raise ValueError(f"malformed IPv4 address: {text!r}")
     value = 0
-    for octet in octets:
+    for octet in match.groups():
         part = int(octet)
-        if not 0 <= part <= 255:
+        if part > 255:
             raise ValueError(f"malformed IPv4 address: {text!r}")
         value = (value << 8) | part
     return value
+
+
+def ips_to_strs(ips: np.ndarray) -> list[str]:
+    """Vector :func:`ip_to_str`: dotted quads of an array of addresses."""
+    ips = np.asarray(ips)
+    if ips.size and (ips.min() < 0 or ips.max() >= 2**32):
+        raise ValueError("address out of IPv4 range")
+    octets = (ips.astype(np.int64)[:, None] >> np.array([24, 16, 8, 0])) & 0xFF
+    return [f"{a}.{b}.{c}.{d}" for a, b, c, d in octets.tolist()]
+
+
+def digit_runs(
+    codes: np.ndarray, starts: np.ndarray, ends: np.ndarray, max_digits: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Decimal values of the runs ``codes[starts[i]:ends[i]]``, vectorised.
+
+    ``codes`` is a flat array of character codes: the bytes of a file,
+    or the code points of a numpy string array.  A run is valid when it
+    holds 1 to ``max_digits`` (<= 18) ASCII digits and nothing else.
+    Returns ``(values, valid)``: int64 values, exact wherever valid.
+    """
+    lengths = ends - starts
+    valid = (lengths >= 1) & (lengths <= max_digits)
+    width = int(np.clip(lengths, 0, max_digits).max(initial=0))
+    # One row per decimal place, units first: the reductions then run
+    # along whole rows.  Codes are unsigned, so those below "0" wrap.
+    place = np.arange(width)[:, None]
+    digits = codes.take(ends - 1 - place, mode="clip") - 48
+    digits *= place < lengths
+    valid &= digits.max(axis=0, initial=0) <= 9
+    return _POW10[:width] @ digits, valid
+
+
+def parse_quads(
+    codes: np.ndarray, starts: np.ndarray, ends: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vector dotted-quad parse of ``codes[starts[i]:ends[i]]``.
+
+    ``codes`` as for :func:`digit_runs`.  Octet ``k`` runs from the
+    ``k``-th dot at or after ``starts[i]`` to the next one (the last to
+    ``ends[i]``); the field is a quad exactly when all four runs are 1-3
+    digits, so a missing or extra dot invalidates it.  Returns
+    ``(ips, valid)`` with uint32 addresses.
+    """
+    # Sentinel dots past the end stand in for missing ones.
+    dots = np.flatnonzero(codes == ord("."))
+    dots = np.concatenate([dots, np.full(3, len(codes))])
+    first = np.searchsorted(dots, starts)
+    cuts = [starts - 1, *(dots[first + k] for k in range(3)), ends]
+    ips = np.zeros(len(starts), dtype=np.int64)
+    valid = np.ones(len(starts), dtype=bool)
+    for k in range(4):
+        octet, ok = digit_runs(codes, cuts[k] + 1, cuts[k + 1], 3)
+        valid &= ok & (octet <= 255)
+        ips = (ips << 8) | octet
+    return np.where(valid, ips, 0).astype(np.uint32), valid
+
+
+def strs_to_ips(texts) -> np.ndarray:
+    """Vector :func:`str_to_ip`: a sequence of dotted quads as uint32.
+
+    Accepts exactly the strings :func:`str_to_ip` accepts and raises
+    :class:`ValueError` naming the first one it does not.
+    """
+    n = len(texts)
+    lengths = np.fromiter(map(len, texts), dtype=np.int64, count=n)
+    codes = np.array(texts, dtype=f"U{QUAD_MAX_CHARS}").view(np.uint32)
+    starts = np.arange(n, dtype=np.int64) * QUAD_MAX_CHARS
+    # Longer strings were truncated above; the length check rejects them.
+    ends = starts + np.minimum(lengths, QUAD_MAX_CHARS)
+    ips, valid = parse_quads(codes, starts, ends)
+    bad = ~valid | (lengths > QUAD_MAX_CHARS)
+    if bad.any():
+        raise ValueError(f"malformed IPv4 address: {texts[int(np.argmax(bad))]!r}")
+    return ips
 
 
 def subnet24(ip: int) -> int:

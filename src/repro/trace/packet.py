@@ -16,15 +16,24 @@ TCP = 6
 UDP = 17
 ICMP = 1
 
-_PROTO_NAMES = {TCP: "tcp", UDP: "udp", ICMP: "icmp"}
+#: IP protocol number -> the name trace files use.
+PROTO_NAMES = {TCP: "tcp", UDP: "udp", ICMP: "icmp"}
 
 SECONDS_PER_DAY = 86_400
+
+
+def _in_range(name: str, values, low: int, high: int) -> np.ndarray:
+    """``values`` as an array, after checking ``low <= v <= high``."""
+    values = np.asarray(values)
+    if values.size and (values.min() < low or values.max() > high):
+        raise ValueError(f"column {name} holds values outside [{low}, {high}]")
+    return values
 
 
 def proto_name(proto: int) -> str:
     """Human-readable protocol name (``tcp``/``udp``/``icmp``)."""
     try:
-        return _PROTO_NAMES[int(proto)]
+        return PROTO_NAMES[int(proto)]
     except KeyError:
         raise ValueError(f"unknown protocol number {proto}") from None
 
@@ -214,10 +223,22 @@ class Trace:
         ``sender_ips_per_packet`` holds raw uint32 addresses; they are
         interned into the trace sender table.  ``extra_sender_ips`` adds
         addresses with no packets (used by tests to model senders whose
-        traffic was fully filtered).
+        traffic was fully filtered).  Every reader builds its trace here,
+        so a value outside its column's range raises
+        :class:`ValueError` naming the column rather than wrapping.
         """
         order = np.argsort(times, kind="stable")
-        raw_ips = np.asarray(sender_ips_per_packet, dtype=np.uint64)
+        raw_ips = _in_range(
+            "sender_ips_per_packet", sender_ips_per_packet, 0, 2**32 - 1
+        )
+        ports = _in_range("ports", ports, 0, 65_535)
+        receivers = _in_range("receivers", receivers, 0, 255)
+        mirai = _in_range("mirai", mirai, 0, 1)
+        protos = np.asarray(protos)
+        if not np.isin(protos, list(PROTO_NAMES)).all():
+            known = ", ".join(str(p) for p in sorted(PROTO_NAMES))
+            raise ValueError(f"column protos holds protocols other than {known}")
+        raw_ips = raw_ips.astype(np.uint64)
         if extra_sender_ips is not None:
             pool = np.concatenate([raw_ips, np.asarray(extra_sender_ips, np.uint64)])
         else:

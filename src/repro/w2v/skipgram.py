@@ -9,7 +9,12 @@ which both speeds training up and weighs nearby context words more.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.parallel.sgd import SgdScratch
 
 
 def sentence_pair_counts(
@@ -119,6 +124,7 @@ def skipgram_pairs_flat(
     context: int,
     rng: np.random.Generator | None = None,
     dynamic: bool = True,
+    scratch: "SgdScratch | None" = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Skip-gram pairs for many sentences stored in one flat array.
 
@@ -137,6 +143,10 @@ def skipgram_pairs_flat(
             drawn per token position (including positions of length-1
             sentences, which emit no pairs).
         dynamic: shrink each center's window uniformly to ``1..c``.
+        scratch: buffers for the pair-sized arrays, outputs included (the
+            trainer passes its worker's :class:`~repro.parallel.sgd.SgdScratch`
+            so a shard's pairs reuse memory instead of faulting it in);
+            the next call with the same scratch overwrites the result.
 
     Returns:
         ``(centers, contexts)`` aligned int64 arrays.
@@ -166,9 +176,49 @@ def skipgram_pairs_flat(
     total = int(pair_counts.sum())
     if total == 0:
         return empty, empty
-    centers_pos = np.repeat(positions, pair_counts)
-    segment = np.concatenate([[0], np.cumsum(pair_counts)[:-1]])
-    slot = np.arange(total) - np.repeat(segment, pair_counts)
-    contexts_pos = np.repeat(lo, pair_counts) + slot
-    contexts_pos[contexts_pos >= centers_pos] += 1
-    return tokens[centers_pos], tokens[contexts_pos]
+    if scratch is None:
+        from repro.parallel.sgd import SgdScratch  # repro.parallel imports w2v
+
+        scratch = SgdScratch()
+    segment = np.cumsum(pair_counts) - pair_counts
+    centers_pos = scratch.get("centers_pos", (total,), np.int64)
+    _repeat_into(positions, pair_counts, segment, centers_pos)
+    # Slot j of center i's window is context position lo[i] + j, plus
+    # one past the center itself.
+    contexts_pos = scratch.get("contexts_pos", (total,), np.int64)
+    _repeat_into(lo - segment, pair_counts, segment, contexts_pos)
+    contexts_pos += scratch.arange(total)
+    past_center = scratch.get("past_center", (total,), bool)
+    contexts_pos += np.greater_equal(contexts_pos, centers_pos, out=past_center)
+    centers = scratch.get("centers", (total,), np.int64)
+    contexts = scratch.get("contexts", (total,), np.int64)
+    tokens.take(centers_pos, out=centers, mode="clip")
+    tokens.take(contexts_pos, out=contexts, mode="clip")
+    return centers, contexts
+
+
+#: Below this many entries :func:`_repeat_into` lets ``np.repeat``
+#: allocate: cheaper on tiny fits, and too small a block for malloc to
+#: hand back to the OS (the page faults the in-place form avoids).
+_REPEAT_IN_PLACE_MIN = 1 << 14
+
+
+def _repeat_into(
+    values: np.ndarray, counts: np.ndarray, firsts: np.ndarray, out: np.ndarray
+) -> None:
+    """``out[:] = np.repeat(values, counts)`` for integers.
+
+    ``firsts`` are the output offsets of each value's run
+    (``cumsum(counts) - counts``).  Large outputs are filled in place:
+    each run starts with the step from the previous value, and a
+    running sum fills the rest.
+    """
+    if len(out) < _REPEAT_IN_PLACE_MIN:
+        out[:] = np.repeat(values, counts)
+        return
+    kept = counts > 0
+    steps = values[kept]
+    steps[1:] -= steps[:-1]  # ufuncs buffer overlapping operands
+    out.fill(0)
+    out[firsts[kept]] = steps
+    out.cumsum(out=out)

@@ -1,11 +1,68 @@
 """Tests for repro.io (CSV round-trip, anonymisation)."""
 
+import csv
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.io import csvio
 from repro.io.anonymize import anonymize_trace
 from repro.io.csvio import read_trace_csv, write_trace_csv
-from repro.trace.address import subnet16, subnet24
+from repro.trace.address import ip_to_str, subnet16, subnet24
+from repro.trace.packet import ICMP, TCP, UDP, Trace, proto_name
+
+_HEADER = "timestamp,src_ip,dst_host,dst_port,proto,mirai"
+
+
+def reference_write_trace_csv(trace: Trace, path) -> None:
+    """The row-at-a-time writer the vectorised one must match byte for byte."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(_HEADER.split(","))
+        ips = trace.sender_ips
+        for i in range(len(trace)):
+            writer.writerow(
+                [
+                    f"{trace.times[i]:.6f}",
+                    ip_to_str(ips[trace.senders[i]]),
+                    int(trace.receivers[i]),
+                    int(trace.ports[i]),
+                    proto_name(trace.protos[i]),
+                    int(trace.mirai[i]),
+                ]
+            )
+
+
+COLUMNS = ("times", "senders", "ports", "protos", "receivers", "mirai", "sender_ips")
+
+
+def assert_same_trace(a: Trace, b: Trace) -> None:
+    for name in COLUMNS:
+        left, right = getattr(a, name), getattr(b, name)
+        assert left.dtype == right.dtype, name
+        assert left.tobytes() == right.tobytes(), name
+
+
+@st.composite
+def traces(draw, max_packets=40):
+    n = draw(st.integers(0, max_packets))
+
+    def column(values):
+        return np.array(draw(st.lists(values, min_size=n, max_size=n)))
+
+    # Microseconds: the writer's %.6f text then stays below 2**53 once
+    # its dot is dropped, as it does for real epoch times.
+    return Trace.from_events(
+        times=column(st.integers(0, 2**52)).astype(np.float64) / 1e6,
+        sender_ips_per_packet=column(st.integers(0, 2**32 - 1)).astype(np.uint64),
+        ports=column(st.integers(0, 65535)),
+        protos=column(st.sampled_from([TCP, UDP, ICMP])),
+        receivers=column(st.integers(0, 255)),
+        mirai=column(st.booleans()).astype(bool),
+    )
 
 
 class TestCsvRoundtrip:
@@ -34,6 +91,176 @@ class TestCsvRoundtrip:
         )
         with pytest.raises(ValueError):
             read_trace_csv(path)
+
+
+class TestCsvReader:
+    def test_crlf_and_lf_parse_alike(self, small_trace, tmp_path):
+        crlf = tmp_path / "crlf.csv"
+        write_trace_csv(small_trace, crlf)
+        lf = tmp_path / "lf.csv"
+        lf.write_bytes(crlf.read_bytes().replace(b"\r\n", b"\n"))
+        assert b"\r" not in lf.read_bytes()
+        loaded = read_trace_csv(crlf)
+        assert_same_trace(read_trace_csv(lf), loaded)
+        assert np.array_equal(loaded.senders, small_trace.senders)
+        assert np.abs(loaded.times - small_trace.times).max() <= 5e-7
+
+    @pytest.mark.parametrize("ending", [b"\r\n", b"\n"])
+    def test_missing_final_newline(self, tiny_trace, tmp_path, ending):
+        path = tmp_path / "t.csv"
+        write_trace_csv(tiny_trace, path)
+        body = path.read_bytes().replace(b"\r\n", ending)
+        path.write_bytes(body[: -len(ending)])
+        assert_same_trace(read_trace_csv(path), tiny_trace)
+
+    @pytest.mark.parametrize("text", [_HEADER, _HEADER + "\n", _HEADER + "\r\n"])
+    def test_header_only_is_an_empty_trace(self, tmp_path, text):
+        path = tmp_path / "empty.csv"
+        path.write_text(text, newline="")
+        assert_same_trace(read_trace_csv(path), Trace.empty())
+
+    def test_rows_span_blocks(self, small_trace, tmp_path, monkeypatch):
+        path = tmp_path / "t.csv"
+        write_trace_csv(small_trace, path)
+        whole = read_trace_csv(path)
+        monkeypatch.setattr(csvio, "BLOCK_BYTES", 37)  # cuts most rows
+        assert_same_trace(read_trace_csv(path), whole)
+
+    @pytest.mark.parametrize(
+        "row",
+        ["1.5,10.0.0.1,2,23,tcp", "1.5,10.0.0.1,2,23,tcp,0,7"],
+        ids=["5 fields", "7 fields"],
+    )
+    @pytest.mark.parametrize("block_bytes", [1 << 20, 40])
+    def test_wrong_field_count_names_the_line(
+        self, tmp_path, monkeypatch, row, block_bytes
+    ):
+        monkeypatch.setattr(csvio, "BLOCK_BYTES", block_bytes)
+        good = "1.0,10.0.0.1,2,23,tcp,0"
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "\r\n".join([_HEADER, good, good, good, row, good]) + "\r\n", newline=""
+        )
+        with pytest.raises(ValueError, match=r"bad\.csv:5: expected 6 fields"):
+            read_trace_csv(path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            (0, "1e9"), (0, "-1.0"), (0, "1."), (0, ".5"), (0, "1.2.3"),
+            (0, "123456789012345678"), (0, "9007199254740.992"),
+            (1, "10.0.0.256"), (1, "10.0.0"), (1, " 10.0.0.1"), (1, "10.0.0.0001"),
+            (2, "+1"), (2, "1_0"), (2, "2560"), (2, ""),
+            (3, "65536x"), (3, "123456"), (3, "-3"),
+            (4, "TCP"), (4, "tcpx"), (4, "tc"), (4, "icmp\x00"),
+            (5, "true"), (5, "01"), (5, " 1"),
+        ],
+    )
+    def test_field_syntax_is_checked(self, tmp_path, field, value):
+        row = ["1.0", "10.0.0.1", "2", "23", "tcp", "0"]
+        row[field] = value
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            f"{_HEADER}\n1.0,10.0.0.1,2,23,tcp,0\n{','.join(row)}\n", newline=""
+        )
+        with pytest.raises(ValueError, match=r"bad\.csv:3: bad"):
+            read_trace_csv(path)
+
+    @pytest.mark.parametrize(
+        "row, column",
+        [
+            ("1.0,10.0.0.1,300,23,tcp,0", "receivers"),
+            ("1.0,10.0.0.1,2,70000,tcp,0", "ports"),
+            ("1.0,10.0.0.1,2,23,tcp,2", "mirai"),
+        ],
+    )
+    def test_ranges_are_checked(self, tmp_path, row, column):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{_HEADER}\n{row}\n", newline="")
+        with pytest.raises(ValueError, match=f"column {column}"):
+            read_trace_csv(path)
+
+    def test_timestamps_equal_float_of_their_text(self, tmp_path):
+        rng = np.random.default_rng(5)
+        texts = [f"{t:.6f}" for t in rng.uniform(0, 2e9, 2000)] + [
+            "0", "0.0", "7", "9007199254.740991", "0.000001", "1614643206.759475",
+            "00012.5", "9999999999.12345",
+        ]
+        path = tmp_path / "t.csv"
+        path.write_text(
+            _HEADER + "\n" + "".join(f"{t},10.0.0.1,1,23,tcp,0\n" for t in texts),
+            newline="",
+        )
+        expected = np.sort(np.array([float(t) for t in texts]))
+        assert read_trace_csv(path).times.tobytes() == expected.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(trace=traces(), crlf=st.booleans(), final_newline=st.booleans())
+    def test_write_read_roundtrip(self, tmp_path_factory, trace, crlf, final_newline):
+        path = tmp_path_factory.mktemp("rt") / "t.csv"
+        write_trace_csv(trace, path)
+        body = path.read_bytes()
+        if not crlf:
+            body = body.replace(b"\r\n", b"\n")
+        if not final_newline:
+            body = body.rstrip(b"\r\n")
+        path.write_bytes(body)
+        loaded = read_trace_csv(path)
+        texts = [line.split(b",")[0] for line in body.splitlines()[1:]]
+        assert loaded.times.tobytes() == np.array([float(t) for t in texts]).tobytes()
+        senders = trace.sender_ips[trace.senders]
+        assert np.array_equal(loaded.sender_ips[loaded.senders], senders)
+        for name in ("ports", "protos", "receivers", "mirai"):
+            assert np.array_equal(getattr(loaded, name), getattr(trace, name)), name
+
+    def test_peak_memory_per_row_is_bounded(self, tmp_path):
+        rng = np.random.default_rng(2)
+        n = 120_000
+        trace = Trace.from_events(
+            times=1.6e9 + np.sort(rng.uniform(0, 30 * 86_400, n)),
+            sender_ips_per_packet=rng.integers(1 << 24, 1 << 32, 20_000)[
+                rng.integers(0, 20_000, n)
+            ],
+            ports=rng.integers(0, 65536, n),
+            protos=rng.choice([TCP, UDP, ICMP], n),
+            receivers=rng.integers(0, 256, n),
+            mirai=rng.random(n) < 0.3,
+        )
+        path = tmp_path / "big.csv"
+        write_trace_csv(trace, path)
+        tracemalloc.start()
+        try:
+            loaded = read_trace_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(loaded) == n
+        # Blocks keep only typed columns (~19 B/row) and then the trace
+        # build; a row loop holding Python lists peaks above 200 B/row.
+        assert peak / n < 150
+
+
+class TestCsvWriter:
+    @pytest.mark.parametrize("fixture", ["tiny_trace", "small_trace"])
+    def test_matches_the_row_writer(self, request, tmp_path, fixture):
+        trace = request.getfixturevalue(fixture)
+        write_trace_csv(trace, tmp_path / "new.csv")
+        reference_write_trace_csv(trace, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(trace=traces())
+    def test_matches_the_row_writer_on_any_trace(self, tmp_path_factory, trace):
+        root = tmp_path_factory.mktemp("w")
+        write_trace_csv(trace, root / "new.csv")
+        reference_write_trace_csv(trace, root / "ref.csv")
+        assert (root / "new.csv").read_bytes() == (root / "ref.csv").read_bytes()
+
+    def test_rows_cross_write_chunks(self, small_trace, tmp_path, monkeypatch):
+        reference_write_trace_csv(small_trace, tmp_path / "ref.csv")
+        monkeypatch.setattr(csvio, "_WRITE_ROWS", 7)
+        write_trace_csv(small_trace, tmp_path / "new.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 class TestAnonymize:
@@ -104,6 +331,28 @@ class TestNdjsonRoundtrip:
         path = tmp_path / "bad.ndjson"
         path.write_text('{"ts": 1.0}\n')
         with pytest.raises(ValueError, match="bad.ndjson:1"):
+            read_trace_ndjson(path)
+
+    @pytest.mark.parametrize(
+        "field, value, error",
+        [
+            ("mirai", 2, r"bad\.ndjson:1: .*not a flag"),
+            ("dst", 300, "column receivers"),
+            ("port", 70_000, "column ports"),
+            ("src", "1_0.0.0.1", "malformed IPv4"),
+            ("src", 167772161, r"bad\.ndjson:1: .*not a dotted quad"),
+        ],
+    )
+    def test_out_of_range_records_rejected(self, tmp_path, field, value, error):
+        import json
+
+        from repro.io.ndjson import read_trace_ndjson
+
+        record = {"ts": 1.0, "src": "10.0.0.1", "dst": 2, "port": 23}
+        record.update({"proto": "tcp", "mirai": False, field: value})
+        path = tmp_path / "bad.ndjson"
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(ValueError, match=error):
             read_trace_ndjson(path)
 
     def test_blank_lines_skipped(self, tiny_trace, tmp_path):

@@ -9,6 +9,12 @@ the vectorized ``majority_vote`` / ``symmetric_adjacency`` /
 (loop-based) implementations exactly.
 """
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,7 +23,13 @@ from repro.graph.knn_graph import KnnGraph, build_knn_graph
 from repro.knn.classifier import knn_search, majority_vote
 from repro.knn.loo import leave_one_out_predictions
 from repro.parallel.pool import WorkerPool, resolve_workers
-from repro.parallel.sgd import dedup_pairs, scaled_scatter_add, sigmoid_table
+from repro.parallel.sgd import (
+    SgdScratch,
+    dedup_pairs,
+    scaled_scatter_add,
+    sgd_step_fast,
+    sigmoid_table,
+)
 from repro.w2v.mathutils import scatter_add, sigmoid
 from repro.w2v.model import Word2Vec
 from repro.w2v.skipgram import (
@@ -121,6 +133,120 @@ class TestSgdKernels:
             scatter_add(reference, rows, updates * scale[:, None])
             np.testing.assert_allclose(matrix, reference, atol=1e-5)
 
+    def test_scatter_sums_like_selector_matmul(self):
+        # One scratch across shapes: reused buffers must not leak state,
+        # and both selector paths must give the bytes of the selector
+        # product added to the matrix (dense below DENSE_SELECTOR_CELLS,
+        # scipy CSR above).
+        sparse = pytest.importorskip("scipy.sparse")
+        rng = np.random.default_rng(4)
+        scratch = SgdScratch()
+        for n_rows, batch in ((300, 400), (8, 400), (2940, 5000), (300, 400), (40, 30)):
+            matrix = rng.normal(size=(n_rows, 7)).astype(np.float32)
+            rows = rng.integers(0, n_rows, size=batch)
+            updates = rng.normal(size=(batch, 7)).astype(np.float32)
+            scale = rng.random(batch).astype(np.float32)
+            selector = sparse.csr_matrix(
+                (scale, (rows, np.arange(batch))), shape=(n_rows, batch)
+            )
+            if n_rows * batch <= 1 << 16:
+                selector = selector.toarray()
+            expected = matrix + selector @ updates
+            scaled_scatter_add(matrix, rows, updates, scale=scale, scratch=scratch)
+            assert matrix.tobytes() == expected.tobytes()
+
+    def test_sparse_scatter_rejects_out_of_range_rows(self):
+        matrix = np.zeros((300, 4), dtype=np.float32)
+        updates = np.ones((400, 4), dtype=np.float32)
+        for bad in (300, -1):
+            rows = np.zeros(400, dtype=np.int64)
+            rows[7] = bad
+            with pytest.raises(ValueError, match="row index"):
+                scaled_scatter_add(matrix, rows, updates)
+        assert not matrix.any()
+
+    def test_reused_scratch_matches_fresh_buffers(self):
+        from repro.w2v.negative import NegativeSampler
+
+        rng = np.random.default_rng(6)
+        n_vocab, dim = 500, 12
+        sampler = NegativeSampler(rng.integers(1, 50, n_vocab))
+        init = ((rng.random((n_vocab, dim)) - 0.5) / dim).astype(np.float32)
+        batches = []
+        for raw in (4000, 70, 1500, 4000, 3, 900):
+            centers, contexts = rng.integers(0, n_vocab, (2, raw))
+            uniq_c, uniq_x, mult = dedup_pairs(centers, contexts, n_vocab)
+            batches.append((uniq_c, uniq_x, mult))
+        class GarbageScratch(SgdScratch):
+            """Hands out float buffers full of NaN, like stale memory."""
+
+            def get(self, name, shape, dtype=np.float32):
+                view = super().get(name, shape, dtype)
+                if view.dtype.kind == "f":
+                    view.fill(np.nan)
+                return view
+
+        results = []
+        for scratch in (GarbageScratch(), None):
+            syn0, syn1 = init.copy(), np.zeros_like(init)
+            step_rng = np.random.default_rng(1)
+            for batch in batches:
+                sgd_step_fast(
+                    syn0, syn1, *batch, sampler, 5, 0.025, step_rng, scratch=scratch
+                )
+            results.append(syn0.tobytes() + syn1.tobytes())
+        assert results[0] == results[1]
+
+    def test_warm_step_does_not_page_fault(self):
+        resource = pytest.importorskip("resource")
+        if resource.getrusage(resource.RUSAGE_SELF).ru_minflt == 0:
+            pytest.skip("ru_minflt is not counted on this platform")
+        # A fresh interpreter with glibc's default malloc thresholds: a
+        # step that allocated its temporaries would fault their pages in
+        # on every batch (~1,600 faults at this shape).
+        script = textwrap.dedent(
+            """
+            import resource
+            import numpy as np
+            from repro.parallel.sgd import SgdScratch, dedup_pairs, sgd_step_fast
+            from repro.w2v.negative import NegativeSampler
+
+            n_vocab, dim, raw = 2940, 50, 16384
+            rng = np.random.default_rng(0)
+            syn0 = ((rng.random((n_vocab, dim)) - 0.5) / dim).astype(np.float32)
+            syn1 = np.zeros_like(syn0)
+            sampler = NegativeSampler(rng.integers(1, 1000, n_vocab))
+            batches = []
+            for _ in range(25):
+                centers, contexts = rng.integers(0, n_vocab, (2, raw))
+                uniq_c, uniq_x, mult = dedup_pairs(centers, contexts, n_vocab)
+                perm = rng.permutation(len(uniq_c))
+                batches.append((uniq_c[perm], uniq_x[perm], mult[perm]))
+            scratch = SgdScratch()
+            for i, batch in enumerate(batches):
+                if i == 5:
+                    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                sgd_step_fast(
+                    syn0, syn1, *batch, sampler, 5, 0.025, rng, scratch=scratch
+                )
+            after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            print((after - before) / (len(batches) - 5))
+            """
+        )
+        import repro
+
+        env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+        env["PYTHONPATH"] = str(Path(repro.__file__).parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=300,
+        )
+        assert float(out.stdout) < 50
+
     def test_dedup_pairs_roundtrip(self):
         rng = np.random.default_rng(1)
         centers = rng.integers(0, 30, size=500)
@@ -176,6 +302,43 @@ class TestSkipgramFlat:
         np.testing.assert_array_equal(
             contexts, np.concatenate([p[1] for p in parts])
         )
+
+    def test_reused_scratch_matches_per_sentence(self):
+        # One scratch across calls of shrinking and growing size, on
+        # both sides of the in-place repeat threshold (~16k pairs):
+        # stale buffer contents must never leak into the next result.
+        scratch = SgdScratch()
+        for seed, n in ((4, 60), (5, 1200), (6, 7), (7, 900), (8, 1)):
+            sentences = self._sentences(seed=seed, n=n)
+            flat = np.concatenate(sentences)
+            starts = np.concatenate([[0], np.cumsum([len(s) for s in sentences])])
+            centers, contexts = skipgram_pairs_flat(
+                flat, starts, 7, np.random.default_rng(seed), scratch=scratch
+            )
+            rng = np.random.default_rng(seed)
+            parts = [skipgram_pairs(s, 7, rng, dynamic=True) for s in sentences]
+            np.testing.assert_array_equal(
+                centers, np.concatenate([p[0] for p in parts])
+            )
+            np.testing.assert_array_equal(
+                contexts, np.concatenate([p[1] for p in parts])
+            )
+
+    def test_large_static_with_empty_and_short_sentences(self):
+        # Sentences of 0 and 1 tokens emit no pairs: zero-length runs
+        # in the in-place repeat.
+        rng = np.random.default_rng(11)
+        sentences = [
+            rng.integers(0, 50, size=int(rng.choice([0, 1, 2, 25]))).astype(np.int64)
+            for _ in range(2000)
+        ]
+        flat = np.concatenate(sentences)
+        starts = np.concatenate([[0], np.cumsum([len(s) for s in sentences])])
+        centers, contexts = skipgram_pairs_flat(flat, starts, 5, dynamic=False)
+        assert len(centers) > 1 << 14
+        parts = [skipgram_pairs(s, 5, dynamic=False) for s in sentences if len(s)]
+        np.testing.assert_array_equal(centers, np.concatenate([p[0] for p in parts]))
+        np.testing.assert_array_equal(contexts, np.concatenate([p[1] for p in parts]))
 
     def test_empty_and_short_sentences(self):
         tokens = np.array([4, 7], dtype=np.int64)

@@ -590,6 +590,33 @@ class TestServerClient:
             service.close()
             server._shutdown_requested.set()
 
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            ({"ports": [70_000]}, "column ports"),
+            ({"ips": [2**32 + 5]}, "column sender_ips_per_packet"),
+            ({"ips": ["1_0.0.0.1"]}, "malformed IPv4"),
+        ],
+        ids=["port 70000", "address 2**32+5", "not a quad"],
+    )
+    def test_out_of_range_inline_ingest_is_refused(self, fresh_fit, bad, error):
+        darkvec, _ = fresh_fit
+        service = DarkVecService(darkvec, with_clusters=False)
+        server = ServeServer(service, port=0)
+        server.start_background()
+        ip = ip_to_str(int(service.snapshot.sender_ips[0]))
+        events = {"times": [1.0], "ips": [ip], "ports": [23], **bad}
+        try:
+            with ServeClient(port=server.port) as client:
+                # ServeError is the client's view of an {"ok": false} reply.
+                with pytest.raises(ServeError, match=f"ValueError: {error}"):
+                    client.ingest_events(events)
+                assert client.classify(ip)["ip"] == ip
+                assert client.status()["version"] == 0
+        finally:
+            service.close()
+            server._shutdown_requested.set()
+
     def test_ingest_needs_a_payload(self, fresh_fit):
         darkvec, _ = fresh_fit
         service = DarkVecService(darkvec, with_clusters=False)

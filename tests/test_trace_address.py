@@ -8,10 +8,15 @@ from hypothesis import strategies as st
 from repro.trace.address import (
     AddressSpace,
     ip_to_str,
+    ips_to_strs,
     str_to_ip,
+    strs_to_ips,
     subnet16,
     subnet24,
 )
+
+#: Strings ``int()`` would take apart but a dotted quad never holds.
+NOT_QUADS = ["1_0.0.0.1", "+1.2.3.4", " 1.2.3.4", "1.2.3.0004", "\u0663.2.3.4"]
 
 
 class TestConversions:
@@ -31,6 +36,45 @@ class TestConversions:
     @given(st.integers(0, 2**32 - 1))
     def test_roundtrip_property(self, ip):
         assert str_to_ip(ip_to_str(ip)) == ip
+
+    @pytest.mark.parametrize(
+        "text", NOT_QUADS + ["1.2.3.4 ", "1.2.3.4\x00", "1..2.3", ""]
+    )
+    def test_scalar_and_vector_reject_non_quads(self, text):
+        with pytest.raises(ValueError):
+            str_to_ip(text)
+        with pytest.raises(ValueError, match="malformed IPv4"):
+            strs_to_ips(["10.0.0.1", text])
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 2**32 - 1),
+                st.lists(st.integers(0, 2), min_size=4, max_size=4),
+            ),
+            max_size=30,
+        )
+    )
+    def test_vector_codec_agrees_with_scalar(self, quads):
+        # Every valid spelling: each octet with up to two leading zeros,
+        # as long as it stays within three digits.
+        texts = []
+        for ip, pads in quads:
+            octets = ip_to_str(ip).split(".")
+            texts.append(
+                ".".join(o.zfill(min(3, len(o) + pad)) for o, pad in zip(octets, pads))
+            )
+        expected = [str_to_ip(text) for text in texts]
+        assert strs_to_ips(texts).tolist() == expected
+        assert expected == [ip for ip, _ in quads]
+        assert ips_to_strs(np.array(expected, dtype=np.uint32)) == [
+            ip_to_str(ip) for ip in expected
+        ]
+
+    def test_vector_codec_rejects_long_and_empty_input(self):
+        assert strs_to_ips([]).dtype == np.uint32
+        with pytest.raises(ValueError, match="malformed"):
+            strs_to_ips(["1.2.3.4" + "0" * 100])
 
     def test_subnet_masks(self):
         ip = str_to_ip("192.168.13.77")

@@ -152,3 +152,46 @@ class TestFromEvents:
         )
         assert trace.n_senders == 2
         assert len(trace.observed_senders()) == 1
+
+    @pytest.mark.parametrize(
+        "column, values",
+        [
+            ("sender_ips_per_packet", [2**32 + 5, 5]),
+            ("sender_ips_per_packet", [-1, 5]),
+            ("receivers", [300, 1]),
+            ("receivers", [-1, 1]),
+            ("ports", [70_000, 1]),
+            ("ports", [-3, 1]),
+            ("protos", [99, TCP]),
+            ("mirai", [2, 0]),
+        ],
+    )
+    def test_out_of_range_values_are_rejected(self, column, values):
+        # Unchecked, each would wrap into another value (2**32 + 5 into
+        # sender 5, receiver 300 into 44) or enter the trace as is.
+        events = {
+            "times": np.array([1.0, 2.0]),
+            "sender_ips_per_packet": np.array([5, 7]),
+            "ports": np.array([23, 80]),
+            "protos": np.array([TCP, UDP]),
+            "receivers": np.array([1, 2]),
+            "mirai": np.array([False, True]),
+        }
+        events[column] = np.array(values)
+        name = "protos" if column == "protos" else column
+        with pytest.raises(ValueError, match=f"column {name}"):
+            Trace.from_events(**events)
+
+    def test_range_edges_are_accepted(self):
+        trace = Trace.from_events(
+            times=np.array([1.0, 2.0]),
+            sender_ips_per_packet=np.array([0, 2**32 - 1], dtype=np.uint64),
+            ports=np.array([0, 65_535]),
+            protos=np.array([ICMP, UDP]),
+            receivers=np.array([0, 255]),
+            mirai=np.array([0, 1]),
+        )
+        assert trace.sender_ips.tolist() == [0, 2**32 - 1]
+        assert trace.ports.tolist() == [0, 65_535]
+        assert trace.receivers.tolist() == [0, 255]
+        assert trace.mirai.tolist() == [False, True]
