@@ -14,10 +14,11 @@ ending in CRLF or LF (the last may have no line end).  ``timestamp`` is
 ASCII digits with an optional fraction (``1614643206.759475``), at most
 17 digits and below 2**53 once the dot is dropped; ``src_ip`` a dotted
 quad (:data:`repro.trace.address.QUAD_MAX_CHARS`); ``dst_host``,
-``dst_port`` and ``mirai`` unsigned integers of at most 3, 5 and 1
-digits, range-checked by :meth:`Trace.from_events` (0-255, 0-65535,
-0/1).  It parses with numpy over blocks of :data:`BLOCK_BYTES` cut at
-line ends, so only the typed columns outlive a block.
+``dst_port`` and ``mirai`` unsigned integers in 0-255, 0-65535 and 0-1
+(:data:`repro.trace.packet.COLUMN_RANGES`).  It parses with numpy over
+blocks of :data:`BLOCK_BYTES` cut at line ends, so only the typed
+columns outlive a block; a line longer than any valid row
+(:data:`MAX_ROW_BYTES`) is an error before it is read to its end.
 """
 
 from __future__ import annotations
@@ -27,27 +28,29 @@ from pathlib import Path
 import numpy as np
 
 from repro.trace.address import digit_runs, ips_to_strs, parse_quads
-from repro.trace.packet import PROTO_NAMES, Trace
+from repro.trace.packet import COLUMN_RANGES, PROTO_NAMES, Trace
 
 _HEADER = ["timestamp", "src_ip", "dst_host", "dst_port", "proto", "mirai"]
 _HEADER_LINE = ",".join(_HEADER)
 
 #: Bytes read per parse block (the last line of a block is carried into
-#: the next one).  Bounds the reader's temporaries, whatever the file.
+#: the next one).  With :data:`MAX_ROW_BYTES` it bounds the reader's
+#: temporaries, whatever the file.
 BLOCK_BYTES = 1 << 20
 
 #: Rows formatted per write.
 _WRITE_ROWS = 1 << 16
 
-#: Integer fields: most digits, and a dtype their values fit.
-_INTEGERS = {
-    "dst_host": (3, np.int16),
-    "dst_port": (5, np.int32),
-    "mirai": (1, np.uint8),
-}
+#: Integer fields, and the trace column whose range bounds each.
+_INTEGERS = {"dst_host": "receivers", "dst_port": "ports", "mirai": "mirai"}
 _TIME_DIGITS = 17
 _EXACT = 2**53
 _POW10 = (10 ** np.arange(_TIME_DIGITS + 1)).astype(np.float64)  # all exact
+
+#: Longest row the grammar allows, CRLF included: a timestamp of 17
+#: digits and its dot, a 15-character quad, 3 + 5 + 4 + 1 characters
+#: for the other fields, and five commas.
+MAX_ROW_BYTES = (_TIME_DIGITS + 1) + 15 + (3 + 5 + 4 + 1) + 5 + 2
 
 
 def _proto_key(name: str) -> int:
@@ -94,9 +97,9 @@ def read_trace_csv(path: str | Path) -> Trace:
     path = Path(path)
     columns: list[tuple[np.ndarray, ...]] = []
     with path.open("rb") as handle:
-        header = handle.readline()
+        header = handle.readline(len(_HEADER_LINE) + 2)
         if header.removesuffix(b"\n").removesuffix(b"\r") != _HEADER_LINE.encode():
-            raise ValueError(f"unexpected CSV header in {path}: {header[:200]!r}")
+            raise ValueError(f"unexpected CSV header in {path}: {header!r}")
         line = 2
         carry = b""
         while True:
@@ -107,6 +110,11 @@ def read_trace_csv(path: str | Path) -> Trace:
             if block:
                 columns.append(_parse_block(block, path, line))
                 line += len(columns[-1][0])
+            if len(carry) > MAX_ROW_BYTES:
+                raise ValueError(
+                    f"{path}:{line}: no line end within {MAX_ROW_BYTES} bytes: "
+                    f"{carry[:MAX_ROW_BYTES]!r}"
+                )
             if not chunk:
                 break
     if not columns:
@@ -127,8 +135,8 @@ def read_trace_csv(path: str | Path) -> Trace:
 def _parse_block(block: bytes, path: Path, first_line: int) -> tuple[np.ndarray, ...]:
     """Typed columns of the whole lines in ``block``.
 
-    ``first_line`` is the file line number of the block's first line,
-    for error messages.
+    ``first_line`` is the file line number of the block's first line.
+    An error names the block's first bad line and its first bad field.
     """
     codes = np.frombuffer(block, dtype=np.uint8)
     line_ends = np.flatnonzero(codes == ord("\n"))
@@ -139,33 +147,40 @@ def _parse_block(block: bytes, path: Path, first_line: int) -> tuple[np.ndarray,
     has_cr = codes.take(line_ends - 1, mode="clip") == ord("\r")
     ends = line_ends - (has_cr & (line_ends > line_starts))
 
-    def check(ok: np.ndarray, what: str) -> None:
-        if ok.all():
-            return
-        row = int(np.argmin(ok))
+    def fail(row: int, what: str) -> None:
         text = block[line_starts[row] : ends[row]].decode("utf-8", "replace")
         raise ValueError(f"{path}:{first_line + row}: {what}: {text[:200]!r}")
 
     n_fields = len(_HEADER)
     commas = np.flatnonzero(codes == ord(","))
     per_line = np.diff(np.searchsorted(commas, line_ends), prepend=0)
-    check(per_line == n_fields - 1, f"expected {n_fields} fields")
+    if (per_line != n_fields - 1).any():
+        row = int(np.argmax(per_line != n_fields - 1))
+        if row:  # a bad field on an earlier line comes first
+            _parse_block(block[: line_starts[row]], path, first_line)
+        fail(row, f"expected {n_fields} fields")
     commas = commas.reshape(-1, n_fields - 1)
     starts = np.column_stack([line_starts, commas + 1])
     stops = np.column_stack([commas, ends])
     field = {name: (starts[:, k], stops[:, k]) for k, name in enumerate(_HEADER)}
 
+    checks = []  # (valid, error) per field, in field order
     times, ok = _timestamps(codes, *field["timestamp"])
-    check(ok, "bad timestamp")
+    checks.append((ok, "bad timestamp"))
     ips, ok = parse_quads(codes, *field["src_ip"])
-    check(ok, "bad src_ip")
+    checks.append((ok, "bad src_ip"))
     integers = {}
-    for name, (digits, dtype) in _INTEGERS.items():
-        values, ok = digit_runs(codes, *field[name], digits)
-        check(ok, f"bad {name}")
-        integers[name] = values.astype(dtype)
+    for name, column in _INTEGERS.items():
+        high = COLUMN_RANGES[column][1]
+        values, ok = digit_runs(codes, *field[name], len(str(high)))
+        checks.append((ok & (values <= high), f"bad {name} (0-{high})"))
+        integers[name] = values.astype(np.min_scalar_type(high))
     protos, ok = _protos(codes, *field["proto"])
-    check(ok, "bad proto")
+    checks.append((ok, "bad proto"))
+    valid = np.logical_and.reduce([ok for ok, _ in checks])
+    if not valid.all():
+        row = int(np.argmin(valid))
+        fail(row, next(what for ok, what in checks if not ok[row]))
     return (
         times,
         ips,

@@ -16,7 +16,7 @@ from typing import IO, Iterator
 
 import numpy as np
 
-from repro.trace.address import ip_to_str, strs_to_ips
+from repro.trace.address import BadValueError, ip_to_str, strs_to_ips
 from repro.trace.packet import PROTO_NAMES, Trace, proto_name
 
 _PROTO_NUM = {name: number for number, name in PROTO_NAMES.items()}
@@ -113,9 +113,13 @@ def write_trace_ndjson(trace: Trace, path: str | Path) -> None:
 
 
 def read_trace_ndjson(path: str | Path) -> Trace:
-    """Read a trace written by :func:`write_trace_ndjson`."""
+    """Read a trace written by :func:`write_trace_ndjson`.
+
+    Errors name the file and the line of the first bad record.
+    """
     path = Path(path)
     times, ips, receivers, ports, protos, mirai = [], [], [], [], [], []
+    lines: list[int] = []  # file line of each record
     with _open(path, "r") as handle:
         for line_number, line in enumerate(handle, start=1):
             line = line.strip()
@@ -127,8 +131,8 @@ def read_trace_ndjson(path: str | Path) -> Trace:
                 if not isinstance(record["src"], str):
                     raise ValueError(f"src {record['src']!r} is not a dotted quad")
                 ips.append(record["src"])
-                receivers.append(int(record["dst"]))
-                ports.append(int(record["port"]))
+                receivers.append(_number(record, "dst"))
+                ports.append(_number(record, "port"))
                 protos.append(_PROTO_NUM[record["proto"]])
                 if record["mirai"] not in (0, 1):  # true/false or 0/1
                     raise ValueError(f"mirai {record['mirai']!r} is not a flag")
@@ -137,15 +141,26 @@ def read_trace_ndjson(path: str | Path) -> Trace:
                 raise ValueError(
                     f"{path}:{line_number}: malformed record ({exc})"
                 ) from None
+            lines.append(line_number)
+    # Addresses and ranges are checked a column at a time; the index of
+    # the first bad entry maps back to its line.
     try:
-        sender_ips = strs_to_ips(ips)
-    except ValueError as exc:
-        raise ValueError(f"{path}: malformed record ({exc})") from None
-    return Trace.from_events(
-        times=np.array(times),
-        sender_ips_per_packet=sender_ips,
-        ports=np.array(ports),
-        protos=np.array(protos),
-        receivers=np.array(receivers),
-        mirai=np.array(mirai),
-    )
+        return Trace.from_events(
+            times=np.array(times),
+            sender_ips_per_packet=strs_to_ips(ips),
+            ports=np.array(ports),
+            protos=np.array(protos),
+            receivers=np.array(receivers),
+            mirai=np.array(mirai),
+        )
+    except BadValueError as exc:
+        line_number = lines[exc.index]
+        raise ValueError(f"{path}:{line_number}: malformed record ({exc})") from None
+
+
+def _number(record: dict, key: str) -> int | float:
+    """``record[key]`` if it is a JSON number (range-checked later)."""
+    value = record[key]
+    if not isinstance(value, (int, float)):
+        raise ValueError(f"{key} {value!r} is not a number")
+    return value

@@ -75,21 +75,16 @@ class SgdScratch:
 
     def __init__(self) -> None:
         self._buffers: dict[str, np.ndarray] = {}
-        self._views: dict[str, np.ndarray] = {}  # last view of each buffer
         self._arange = np.empty(0, dtype=np.int32)
         self._ones = np.empty(0, dtype=np.float32)
 
     def get(self, name: str, shape: tuple[int, ...], dtype=np.float32) -> np.ndarray:
         """Uninitialised C-contiguous ``shape`` view of buffer ``name``."""
-        view = self._views.get(name)
-        if view is not None and view.shape == shape:
-            return view  # tiny fits repeat their shapes: skip the slicing
         size = math.prod(shape)
         buffer = self._buffers.get(name)
         if buffer is None or buffer.size < size:
             buffer = self._buffers[name] = np.empty(size + size // 4, dtype=dtype)
-        view = self._views[name] = buffer[:size].reshape(shape)
-        return view
+        return buffer[:size].reshape(shape)
 
     def arange(self, n: int) -> np.ndarray:
         """``0 .. n-1`` as int32 (read-only by convention)."""

@@ -94,11 +94,13 @@ def _batch_from_request(request: dict, ingest_root: Path | None = None) -> Trace
         return Trace.empty()
     from repro.trace.address import strs_to_ips
 
-    # Addresses come as dotted quads or integers; Trace.from_events
-    # range-checks every column, so nothing wraps into another value.
+    # Addresses come as dotted quads or numbers; float64 holds every
+    # address exactly.  Trace.from_events rejects a non-finite time and
+    # any value that is not a whole number in its column's range, so
+    # nothing wraps or is truncated into another value.
     given = events["ips"]
     is_text = np.fromiter((isinstance(ip, str) for ip in given), bool, len(given))
-    ips = np.zeros(len(given), dtype=np.int64)
+    ips = np.zeros(len(given), dtype=np.float64)
     ips[is_text] = strs_to_ips([ip for ip in given if isinstance(ip, str)])
     ips[~is_text] = [ip for ip in given if not isinstance(ip, str)]
     n = len(times)

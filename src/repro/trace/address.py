@@ -31,6 +31,18 @@ QUAD_MAX_CHARS = 15
 _POW10 = 10 ** np.arange(19, dtype=np.int64)
 
 
+class BadValueError(ValueError):
+    """A malformed or out-of-range entry of an input column.
+
+    ``index`` is the 0-based position of the first bad entry, so a
+    reader can name the line it came from.
+    """
+
+    def __init__(self, message: str, index: int) -> None:
+        super().__init__(message)
+        self.index = index
+
+
 def ip_to_str(ip: int) -> str:
     """Dotted-quad representation of a uint32 address."""
     ip = int(ip)
@@ -113,7 +125,7 @@ def strs_to_ips(texts) -> np.ndarray:
     """Vector :func:`str_to_ip`: a sequence of dotted quads as uint32.
 
     Accepts exactly the strings :func:`str_to_ip` accepts and raises
-    :class:`ValueError` naming the first one it does not.
+    :class:`BadValueError` naming the first one it does not.
     """
     n = len(texts)
     lengths = np.fromiter(map(len, texts), dtype=np.int64, count=n)
@@ -124,7 +136,8 @@ def strs_to_ips(texts) -> np.ndarray:
     ips, valid = parse_quads(codes, starts, ends)
     bad = ~valid | (lengths > QUAD_MAX_CHARS)
     if bad.any():
-        raise ValueError(f"malformed IPv4 address: {texts[int(np.argmax(bad))]!r}")
+        index = int(np.argmax(bad))
+        raise BadValueError(f"malformed IPv4 address: {texts[index]!r}", index)
     return ips
 
 

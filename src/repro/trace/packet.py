@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.trace.address import BadValueError
+
 TCP = 6
 UDP = 17
 ICMP = 1
@@ -21,12 +23,37 @@ PROTO_NAMES = {TCP: "tcp", UDP: "udp", ICMP: "icmp"}
 
 SECONDS_PER_DAY = 86_400
 
+#: Inclusive range of each integer column :meth:`Trace.from_events` takes.
+COLUMN_RANGES = {
+    "sender_ips_per_packet": (0, 2**32 - 1),
+    "ports": (0, 65_535),
+    "receivers": (0, 255),
+    "mirai": (0, 1),
+}
 
-def _in_range(name: str, values, low: int, high: int) -> np.ndarray:
-    """``values`` as an array, after checking ``low <= v <= high``."""
+
+def _first_bad(name: str, values: np.ndarray, bad: np.ndarray, what: str) -> None:
+    """Raise :class:`BadValueError` at the first ``bad`` entry, if any."""
+    if bad.any():
+        index = int(np.argmax(bad))
+        value = values[index].item()
+        raise BadValueError(f"column {name} holds {value!r}, not {what}", index)
+
+
+def _in_range(name: str, values) -> np.ndarray:
+    """``values`` as an array, checked against :data:`COLUMN_RANGES`.
+
+    Every entry must be a whole number in the column's range.
+    """
+    low, high = COLUMN_RANGES[name]
+    what = f"an integer in [{low}, {high}]"
     values = np.asarray(values)
-    if values.size and (values.min() < low or values.max() > high):
-        raise ValueError(f"column {name} holds values outside [{low}, {high}]")
+    if values.dtype.kind not in "biuf":
+        raise ValueError(f"column {name} holds {values.dtype} values, not {what}")
+    bad = (values < low) | (values > high)
+    if values.dtype.kind == "f":
+        bad |= values != np.trunc(values)  # fractions, and NaN
+    _first_bad(name, values, bad, what)
     return values
 
 
@@ -224,20 +251,24 @@ class Trace:
         interned into the trace sender table.  ``extra_sender_ips`` adds
         addresses with no packets (used by tests to model senders whose
         traffic was fully filtered).  Every reader builds its trace here,
-        so a value outside its column's range raises
-        :class:`ValueError` naming the column rather than wrapping.
+        so a value that is not a finite time, a known protocol or a
+        whole number in its column's :data:`COLUMN_RANGES` raises
+        :class:`~repro.trace.address.BadValueError` naming the column
+        (its ``index`` is the event's) rather than wrapping or being
+        truncated.
         """
+        times = np.asarray(times, dtype=np.float64)
+        _first_bad("times", times, ~np.isfinite(times), "a finite number")
         order = np.argsort(times, kind="stable")
-        raw_ips = _in_range(
-            "sender_ips_per_packet", sender_ips_per_packet, 0, 2**32 - 1
-        )
-        ports = _in_range("ports", ports, 0, 65_535)
-        receivers = _in_range("receivers", receivers, 0, 255)
-        mirai = _in_range("mirai", mirai, 0, 1)
+        raw_ips = _in_range("sender_ips_per_packet", sender_ips_per_packet)
+        ports = _in_range("ports", ports)
+        receivers = _in_range("receivers", receivers)
+        mirai = _in_range("mirai", mirai)
         protos = np.asarray(protos)
-        if not np.isin(protos, list(PROTO_NAMES)).all():
-            known = ", ".join(str(p) for p in sorted(PROTO_NAMES))
-            raise ValueError(f"column protos holds protocols other than {known}")
+        known = ", ".join(str(p) for p in sorted(PROTO_NAMES))
+        _first_bad(
+            "protos", protos, ~np.isin(protos, list(PROTO_NAMES)), f"one of {known}"
+        )
         raw_ips = raw_ips.astype(np.uint64)
         if extra_sender_ips is not None:
             pool = np.concatenate([raw_ips, np.asarray(extra_sender_ips, np.uint64)])
@@ -246,7 +277,7 @@ class Trace:
         table, inverse = np.unique(pool, return_inverse=True)
         senders = inverse[: len(raw_ips)].astype(np.int32)[order]
         return Trace(
-            times=np.asarray(times, dtype=np.float64)[order],
+            times=times[order],
             senders=senders,
             ports=np.asarray(ports, dtype=np.int32)[order],
             protos=np.asarray(protos, dtype=np.uint8)[order],

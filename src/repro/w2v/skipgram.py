@@ -197,25 +197,15 @@ def skipgram_pairs_flat(
     return centers, contexts
 
 
-#: Below this many entries :func:`_repeat_into` lets ``np.repeat``
-#: allocate: cheaper on tiny fits, and too small a block for malloc to
-#: hand back to the OS (the page faults the in-place form avoids).
-_REPEAT_IN_PLACE_MIN = 1 << 14
-
-
 def _repeat_into(
     values: np.ndarray, counts: np.ndarray, firsts: np.ndarray, out: np.ndarray
 ) -> None:
-    """``out[:] = np.repeat(values, counts)`` for integers.
+    """``out[:] = np.repeat(values, counts)`` for integers, in place.
 
     ``firsts`` are the output offsets of each value's run
-    (``cumsum(counts) - counts``).  Large outputs are filled in place:
-    each run starts with the step from the previous value, and a
-    running sum fills the rest.
+    (``cumsum(counts) - counts``).  Each run starts with the step from
+    the previous value, and a running sum fills the rest.
     """
-    if len(out) < _REPEAT_IN_PLACE_MIN:
-        out[:] = np.repeat(values, counts)
-        return
     kept = counts > 0
     steps = values[kept]
     steps[1:] -= steps[:-1]  # ufuncs buffer overlapping operands

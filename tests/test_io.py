@@ -167,18 +167,65 @@ class TestCsvReader:
             read_trace_csv(path)
 
     @pytest.mark.parametrize(
-        "row, column",
+        "row, field",
         [
-            ("1.0,10.0.0.1,300,23,tcp,0", "receivers"),
-            ("1.0,10.0.0.1,2,70000,tcp,0", "ports"),
+            ("1.0,10.0.0.1,300,23,tcp,0", "dst_host"),
+            ("1.0,10.0.0.1,2,70000,tcp,0", "dst_port"),
             ("1.0,10.0.0.1,2,23,tcp,2", "mirai"),
         ],
     )
-    def test_ranges_are_checked(self, tmp_path, row, column):
+    def test_ranges_are_checked(self, tmp_path, row, field):
         path = tmp_path / "bad.csv"
-        path.write_text(f"{_HEADER}\n{row}\n", newline="")
-        with pytest.raises(ValueError, match=f"column {column}"):
+        path.write_text(f"{_HEADER}\n1.0,10.0.0.1,2,23,tcp,0\n{row}\n", newline="")
+        with pytest.raises(ValueError, match=rf"bad\.csv:3: bad {field}"):
             read_trace_csv(path)
+
+    @pytest.mark.parametrize(
+        "rows, line, error",
+        [
+            (["1.0,10.0.0.1,2,70000,tcp,0", "x,10.0.0.1,2,23,tcp,0"], 3, "dst_port"),
+            (["1.0,10.0.0.1,2,23,tcp,0", "x,10.0.0.1,2,23,tcp,0", "1"], 4, "timestamp"),
+            (["1.0,10.0.0.1,2,23,tcp,0", "1.0,10.0.0.1,2,23", "x"], 4, "expected 6"),
+        ],
+        ids=["range before syntax", "field before field count", "field count"],
+    )
+    def test_error_names_the_first_bad_line(self, tmp_path, rows, line, error):
+        # Fields are checked a column at a time; the error still names
+        # the first bad line, not the first line of the column checked
+        # first.
+        path = tmp_path / "bad.csv"
+        good = "1.0,10.0.0.1,2,23,tcp,0"
+        path.write_text("\n".join([_HEADER, good, *rows]) + "\n", newline="")
+        with pytest.raises(ValueError, match=rf"bad\.csv:{line}: (bad )?{error}"):
+            read_trace_csv(path)
+
+    @pytest.mark.parametrize(
+        "tail, error",
+        [
+            (b"\n1.0,10.0.0.1,2,23,tcp,0\n" + b"x" * 99_999, "bad.csv:3: no line end"),
+            (b"\n" + b"1.0,10.0.0.1,2,23,tcp,0\r" * 20_000, "bad.csv:2: no line end"),
+            (b"\n" + b"\x00\xff" * 50_000, "bad.csv:2: no line end"),
+            (b"x" * 1_000_000, "unexpected CSV header"),
+        ],
+        ids=["long last line", "CR line ends", "binary", "long header"],
+    )
+    def test_line_without_an_end_is_refused_early(
+        self, tmp_path, monkeypatch, tail, error
+    ):
+        # A line longer than any valid row is refused once it outgrows
+        # MAX_ROW_BYTES, so garbage is never carried from block to
+        # block: memory stays a few blocks, whatever the file size.
+        monkeypatch.setattr(csvio, "BLOCK_BYTES", 1024)
+        path = tmp_path / "bad.csv"
+        path.write_bytes(_HEADER.encode() + tail)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=error):
+                read_trace_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     def test_timestamps_equal_float_of_their_text(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -235,7 +282,7 @@ class TestCsvReader:
         finally:
             tracemalloc.stop()
         assert len(loaded) == n
-        # Blocks keep only typed columns (~19 B/row) and then the trace
+        # Blocks keep only typed columns (~17 B/row) and then the trace
         # build; a row loop holding Python lists peaks above 200 B/row.
         assert peak / n < 150
 
@@ -336,11 +383,15 @@ class TestNdjsonRoundtrip:
     @pytest.mark.parametrize(
         "field, value, error",
         [
-            ("mirai", 2, r"bad\.ndjson:1: .*not a flag"),
+            ("mirai", 2, "not a flag"),
             ("dst", 300, "column receivers"),
+            ("dst", 23.5, "column receivers"),
             ("port", 70_000, "column ports"),
+            ("port", float("nan"), "column ports"),
+            ("port", "23", "not a number"),
+            ("ts", float("inf"), "column times"),
             ("src", "1_0.0.0.1", "malformed IPv4"),
-            ("src", 167772161, r"bad\.ndjson:1: .*not a dotted quad"),
+            ("src", 167772161, "not a dotted quad"),
         ],
     )
     def test_out_of_range_records_rejected(self, tmp_path, field, value, error):
@@ -348,11 +399,16 @@ class TestNdjsonRoundtrip:
 
         from repro.io.ndjson import read_trace_ndjson
 
-        record = {"ts": 1.0, "src": "10.0.0.1", "dst": 2, "port": 23}
-        record.update({"proto": "tcp", "mirai": False, field: value})
+        good = {"ts": 1.0, "src": "10.0.0.1", "dst": 2, "port": 23}
+        good.update({"proto": "tcp", "mirai": False})
         path = tmp_path / "bad.ndjson"
-        path.write_text(json.dumps(record) + "\n")
-        with pytest.raises(ValueError, match=error):
+        # Line 2 is blank: column errors map back to file lines, not
+        # record numbers.
+        lines = [good, None, {**good, field: value}, good]
+        path.write_text(
+            "".join(json.dumps(r) + "\n" if r else "\n" for r in lines)
+        )
+        with pytest.raises(ValueError, match=rf"bad\.ndjson:3: .*{error}"):
             read_trace_ndjson(path)
 
     def test_blank_lines_skipped(self, tiny_trace, tmp_path):

@@ -304,8 +304,7 @@ class TestSkipgramFlat:
         )
 
     def test_reused_scratch_matches_per_sentence(self):
-        # One scratch across calls of shrinking and growing size, on
-        # both sides of the in-place repeat threshold (~16k pairs):
+        # One scratch across calls of shrinking and growing size:
         # stale buffer contents must never leak into the next result.
         scratch = SgdScratch()
         for seed, n in ((4, 60), (5, 1200), (6, 7), (7, 900), (8, 1)):

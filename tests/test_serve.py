@@ -596,8 +596,17 @@ class TestServerClient:
             ({"ports": [70_000]}, "column ports"),
             ({"ips": [2**32 + 5]}, "column sender_ips_per_packet"),
             ({"ips": ["1_0.0.0.1"]}, "malformed IPv4"),
+            ({"ports": [float("nan")]}, "column ports"),
+            ({"ports": [23.5]}, "column ports"),
+            ({"ips": [5.5]}, "column sender_ips_per_packet"),
+            ({"receivers": [float("nan")]}, "column receivers"),
+            ({"mirai": [float("nan")]}, "column mirai"),
+            ({"times": [float("nan")]}, "column times"),
         ],
-        ids=["port 70000", "address 2**32+5", "not a quad"],
+        ids=[
+            "port 70000", "address 2**32+5", "not a quad", "port NaN",
+            "port 23.5", "address 5.5", "receiver NaN", "mirai NaN", "time NaN",
+        ],
     )
     def test_out_of_range_inline_ingest_is_refused(self, fresh_fit, bad, error):
         darkvec, _ = fresh_fit

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.trace.address import (
     AddressSpace,
+    BadValueError,
     ip_to_str,
     ips_to_strs,
     str_to_ip,
@@ -70,6 +71,11 @@ class TestConversions:
         assert ips_to_strs(np.array(expected, dtype=np.uint32)) == [
             ip_to_str(ip) for ip in expected
         ]
+
+    def test_vector_codec_names_the_first_bad_entry(self):
+        with pytest.raises(BadValueError, match="'1.2.3'") as error:
+            strs_to_ips(["10.0.0.1", "10.0.0.2", "1.2.3", "x"])
+        assert error.value.index == 2
 
     def test_vector_codec_rejects_long_and_empty_input(self):
         assert strs_to_ips([]).dtype == np.uint32

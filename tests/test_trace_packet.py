@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.trace.address import BadValueError
 from repro.trace.packet import ICMP, TCP, UDP, Trace, proto_name
 
 
@@ -164,11 +165,20 @@ class TestFromEvents:
             ("ports", [-3, 1]),
             ("protos", [99, TCP]),
             ("mirai", [2, 0]),
+            ("ports", [23.5, 1]),
+            ("sender_ips_per_packet", [5.5, 7]),
+            ("ports", [np.nan, 1]),
+            ("receivers", [np.nan, 1]),
+            ("mirai", [np.nan, 0]),
+            ("protos", [np.nan, TCP]),
+            ("times", [np.nan, 1.0]),
+            ("times", [np.inf, 1.0]),
         ],
     )
     def test_out_of_range_values_are_rejected(self, column, values):
         # Unchecked, each would wrap into another value (2**32 + 5 into
-        # sender 5, receiver 300 into 44) or enter the trace as is.
+        # sender 5, receiver 300 into 44, a NaN port into -2**31), be
+        # truncated (port 23.5 into 23) or enter the trace as is.
         events = {
             "times": np.array([1.0, 2.0]),
             "sender_ips_per_packet": np.array([5, 7]),
@@ -178,9 +188,20 @@ class TestFromEvents:
             "mirai": np.array([False, True]),
         }
         events[column] = np.array(values)
-        name = "protos" if column == "protos" else column
-        with pytest.raises(ValueError, match=f"column {name}"):
+        with pytest.raises(BadValueError, match=f"column {column}") as error:
             Trace.from_events(**events)
+        assert error.value.index == 0
+
+    def test_non_numeric_column_is_rejected(self):
+        with pytest.raises(ValueError, match="column ports"):
+            Trace.from_events(
+                times=np.array([1.0]),
+                sender_ips_per_packet=np.array([5]),
+                ports=np.array(["23"]),
+                protos=np.array([TCP]),
+                receivers=np.array([1]),
+                mirai=np.array([False]),
+            )
 
     def test_range_edges_are_accepted(self):
         trace = Trace.from_events(
