@@ -36,7 +36,7 @@ def test_ablation_clustering_methods(benchmark, bench_bundle, darkvec_domain):
         results = {}
 
         graph = build_knn_graph(vectors, k_prime=3)
-        louvain = louvain_communities(graph.symmetric_adjacency(), seed=0)
+        louvain = louvain_communities(graph.symmetric_csr(), seed=0)
         results["Louvain on k'-NN graph"] = louvain
 
         # Oracle variants get the true number of hidden actors — an

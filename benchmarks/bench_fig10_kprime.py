@@ -22,10 +22,10 @@ def test_fig10_kprime_sweep(benchmark, darkvec_domain):
         n_clusters, scores = [], []
         for k_prime in K_PRIME_VALUES:
             graph = build_knn_graph(vectors, k_prime=k_prime)
-            adjacency = graph.symmetric_adjacency()
-            communities = louvain_communities(adjacency, seed=0)
+            csr = graph.symmetric_csr()
+            communities = louvain_communities(csr, seed=0)
             n_clusters.append(len(set(communities.tolist())))
-            scores.append(modularity(adjacency, communities))
+            scores.append(modularity(csr, communities))
         return n_clusters, scores
 
     n_clusters, scores = run_once(benchmark, compute)

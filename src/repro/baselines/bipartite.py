@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.graph.louvain import louvain_communities
+from repro.graph.louvain import louvain_communities, symmetric_csr
 from repro.graph.modularity import modularity
 from repro.services.ports import port_keys
 from repro.trace.packet import Trace
@@ -85,16 +85,11 @@ def bipartite_communities(
     if weight == "log":
         weights = 1.0 + np.log(weights)
 
-    adjacency: list[dict[int, float]] = [
-        dict() for _ in range(n_senders + n_ports)
-    ]
-    for s, p, w in zip(sender_index, port_index + n_senders, weights):
-        s, p, w = int(s), int(p), float(w)
-        adjacency[s][p] = adjacency[s].get(p, 0.0) + w
-        adjacency[p][s] = adjacency[p].get(s, 0.0) + w
-
-    communities = louvain_communities(adjacency, seed=seed)
-    score = modularity(adjacency, communities)
+    csr = symmetric_csr(
+        n_senders + n_ports, sender_index, port_index + n_senders, weights
+    )
+    communities = louvain_communities(csr, seed=seed)
+    score = modularity(csr, communities)
 
     # Map back: community per requested sender (absent senders get -1).
     by_sender = {int(s): int(c) for s, c in zip(sender_ids, communities)}

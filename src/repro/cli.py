@@ -990,9 +990,9 @@ def _cmd_cluster(args) -> int:
             workers=args.workers,
             spec=_ann_spec_of(args),
         )
-    adjacency = graph.symmetric_adjacency()
-    communities = louvain_communities(adjacency, seed=0)
-    score = modularity(adjacency, communities)
+    csr = graph.symmetric_csr()
+    communities = louvain_communities(csr, seed=0)
+    score = modularity(csr, communities)
     silhouettes = cluster_silhouettes(embedding.vectors, communities)
     profiles = inspect_clusters(
         trace,

@@ -884,7 +884,7 @@ class DarkVec:
             self.config.pool_backend
         ):
             graph = self._knn_graph(k_prime)
-            adjacency = graph.symmetric_adjacency()
-            communities = louvain_communities(adjacency, seed=seed)
-            score = modularity(adjacency, communities)
+            csr = graph.symmetric_csr()
+            communities = louvain_communities(csr, seed=seed)
+            score = modularity(csr, communities)
         return ClusterResult(communities=communities, modularity=score, graph=graph)

@@ -11,8 +11,6 @@ agglomerative via scipy) let the benchmark measure that claim.
 from __future__ import annotations
 
 import numpy as np
-from scipy.cluster.hierarchy import fcluster, linkage
-from scipy.spatial.distance import squareform
 
 from repro.utils.rng import make_rng
 from repro.w2v.mathutils import unit_rows
@@ -133,6 +131,11 @@ def cosine_agglomerative(
     memory, which is why the paper (and this reproduction) only applies
     it to moderate population sizes.
     """
+    # scipy loads here, not with the package: the serving path imports
+    # this module and never clusters this way.
+    from scipy.cluster.hierarchy import fcluster, linkage
+    from scipy.spatial.distance import squareform
+
     if n_clusters < 1:
         raise ValueError("n_clusters must be positive")
     units = unit_rows(np.asarray(vectors))

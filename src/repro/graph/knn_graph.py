@@ -13,6 +13,7 @@ import numpy as np
 
 from repro import obs
 from repro.ann.base import AnnSpec, NeighborIndex, build_index
+from repro.graph.louvain import Csr, symmetric_csr
 from repro.w2v.mathutils import unit_rows
 
 
@@ -43,53 +44,16 @@ class KnnGraph:
     def n_edges(self) -> int:
         return len(self.sources)
 
-    def symmetric_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def symmetric_csr(self) -> Csr:
         """CSR arrays of the symmetrised graph: ``w[i][j] = w_ij + w_ji``.
 
         Self-loops are dropped.  Returns ``(indptr, indices, weights)``
         with node ``i``'s neighbours at ``indices[indptr[i]:indptr[i+1]]``
-        (sorted ascending) and the matching summed weights alongside.
-        Built with one sort + segmented reduce over the doubled edge
-        list — no Python-level edge loop.
+        (sorted ascending) and the matching summed weights alongside:
+        the input of :func:`~repro.graph.louvain.louvain_communities`
+        and :func:`~repro.graph.modularity.modularity`.
         """
-        n = self.n_nodes
-        keep = self.sources != self.targets
-        u = self.sources[keep].astype(np.int64)
-        v = self.targets[keep].astype(np.int64)
-        w = self.weights[keep].astype(np.float64)
-        if len(u) == 0:
-            return (
-                np.zeros(n + 1, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.float64),
-            )
-        heads = np.concatenate([u, v])
-        tails = np.concatenate([v, u])
-        doubled = np.concatenate([w, w])
-        key = heads * n + tails
-        order = np.argsort(key, kind="stable")
-        key_sorted = key[order]
-        starts = np.concatenate(
-            [[0], np.flatnonzero(np.diff(key_sorted) != 0) + 1]
-        )
-        weights = np.add.reduceat(doubled[order], starts)
-        unique_keys = key_sorted[starts]
-        rows = unique_keys // n
-        indices = unique_keys - rows * n
-        indptr = np.searchsorted(rows, np.arange(n + 1)).astype(np.int64)
-        return indptr, indices, weights
-
-    def symmetric_adjacency(self) -> list[dict[int, float]]:
-        """Undirected weighted adjacency: ``w[i][j] = w_ij + w_ji``.
-
-        Self-loops are dropped.  This is the input Louvain consumes;
-        the dicts are materialised from :meth:`symmetric_csr`.
-        """
-        indptr, indices, weights = self.symmetric_csr()
-        return [
-            dict(zip(indices[lo:hi].tolist(), weights[lo:hi].tolist()))
-            for lo, hi in zip(indptr[:-1], indptr[1:])
-        ]
+        return symmetric_csr(self.n_nodes, self.sources, self.targets, self.weights)
 
     def to_networkx(self):
         """Export as a ``networkx.DiGraph`` (for validation/analysis)."""

@@ -8,37 +8,36 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.graph.louvain import Csr
+
 
 def modularity(
-    adjacency: list[dict[int, float]],
+    csr: Csr,
     communities: np.ndarray,
     resolution: float = 1.0,
 ) -> float:
     """Modularity of a node->community assignment.
 
     Args:
-        adjacency: symmetric weighted adjacency (``w[i][j] == w[j][i]``).
+        csr: symmetric CSR arrays ``(indptr, indices, weights)`` (see
+            :func:`~repro.graph.louvain.symmetric_csr`).
         communities: community id per node.
         resolution: resolution parameter gamma (1.0 = classic).
     """
+    indptr, indices, weights = csr
     communities = np.asarray(communities)
-    n = len(adjacency)
+    n = len(indptr) - 1
     if len(communities) != n:
         raise ValueError("communities must align with adjacency")
-    degrees = np.array([sum(neigh.values()) for neigh in adjacency])
+    heads = np.repeat(np.arange(n), np.diff(indptr))
+    degrees = np.bincount(heads, weights=weights, minlength=n)
     two_m = degrees.sum()
     if two_m == 0:
         return 0.0
 
-    internal = 0.0
-    for u, neigh in enumerate(adjacency):
-        for v, w in neigh.items():
-            if communities[u] == communities[v]:
-                internal += w  # each undirected edge counted twice
-
-    community_degree: dict[int, float] = {}
-    for u in range(n):
-        c = int(communities[u])
-        community_degree[c] = community_degree.get(c, 0.0) + degrees[u]
-    expected = sum(d * d for d in community_degree.values()) / (two_m * two_m)
-    return internal / two_m - resolution * expected
+    # Each undirected edge appears in both rows, so it counts twice.
+    internal = weights[communities[heads] == communities[indices]].sum()
+    _, ids = np.unique(communities, return_inverse=True)
+    community_degree = np.bincount(ids, weights=degrees)
+    expected = (community_degree @ community_degree) / (two_m * two_m)
+    return float(internal / two_m - resolution * expected)

@@ -161,9 +161,7 @@ def cluster_stability(
     for model in (previous, current):
         vectors = model.vectors[model.rows_of(tokens)]
         graph = build_knn_graph(vectors, k_prime=k_prime)
-        partitions.append(
-            louvain_communities(graph.symmetric_adjacency(), seed=seed)
-        )
+        partitions.append(louvain_communities(graph.symmetric_csr(), seed=seed))
     ari = adjusted_rand_index(partitions[0], partitions[1])
     ami = adjusted_mutual_info(partitions[0], partitions[1])
     return float(ari), float(ami)

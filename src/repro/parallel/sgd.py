@@ -26,6 +26,7 @@ fresh temporary page-fault).
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -34,12 +35,23 @@ from repro import obs
 from repro.w2v.mathutils import scatter_add
 from repro.w2v.negative import NegativeSampler
 
-try:  # scipy is a declared dependency, but degrade gracefully without it
-    # The kernels behind ``csr_matrix((data, (rows, cols))) @ dense``,
-    # called directly so that they write into reused buffers.
-    from scipy.sparse import _sparsetools
-except ImportError:  # pragma: no cover - exercised only without scipy
-    _sparsetools = None
+
+@functools.cache
+def sparse_kernels():
+    """scipy's sparse kernels, imported on the first call of a process.
+
+    These are the kernels behind ``csr_matrix((data, (rows, cols))) @
+    dense``, called directly so that they write into reused buffers;
+    None without scipy.  Importing them takes about 0.1 s, so modules
+    that never train (the serving path) do not pay it, and the trainer
+    resolves them at the start of each fit, in the parent, so that
+    forked workers inherit them instead of importing scipy each.
+    """
+    try:  # scipy is a declared dependency, but degrade gracefully without it
+        from scipy.sparse import _sparsetools
+    except ImportError:  # pragma: no cover - exercised only without scipy
+        return None
+    return _sparsetools
 
 _TABLE_SIZE = 2048
 _TABLE_CLAMP = 12.0
@@ -149,7 +161,7 @@ def scaled_scatter_add(
         selector[rows, scratch.arange(batch)] = data
         summed = scratch.get("summed", matrix.shape)
         matrix += np.matmul(selector, updates, out=summed)
-    elif _sparsetools is not None and n_rows <= 8 * batch:
+    elif n_rows <= 8 * batch and (kernels := sparse_kernels()) is not None:
         # The kernels write through these indices unchecked.
         if rows.min() < 0 or rows.max() >= n_rows:
             raise ValueError("row index exceeds matrix dimensions")
@@ -159,13 +171,13 @@ def scaled_scatter_add(
         indices = scratch.get("indices", (batch,), np.int32)
         values = scratch.get("values", (batch,))
         columns = scratch.arange(batch)
-        _sparsetools.coo_tocsr(
+        kernels.coo_tocsr(
             n_rows, batch, batch, coo_rows, columns, data, indptr, indices, values
         )
         summed = scratch.get("summed", matrix.shape)
         summed.fill(0.0)
         flat_updates, flat_summed = np.ravel(updates), summed.reshape(-1)
-        _sparsetools.csr_matvecs(
+        kernels.csr_matvecs(
             n_rows, batch, dim, indptr, indices, values, flat_updates, flat_summed
         )
         np.add(matrix, summed, out=matrix)

@@ -54,7 +54,12 @@ from repro.parallel.pool import (
     fork_available,
     resolve_workers,
 )
-from repro.parallel.sgd import SgdScratch, dedup_pairs, sgd_step_fast
+from repro.parallel.sgd import (
+    SgdScratch,
+    dedup_pairs,
+    sgd_step_fast,
+    sparse_kernels,
+)
 from repro.parallel.shm import SharedArray
 from repro.w2v.mathutils import cap_row_norms
 from repro.w2v.negative import NegativeSampler
@@ -240,6 +245,10 @@ class ShardedTrainer:
         self._loss_pairs = 0
         self._shared_processed = None
         self._track_loss = self.model.progress is not None
+        # Import scipy's kernels now, in the parent: a process pool's
+        # forked workers then inherit them instead of each importing
+        # scipy when its first batch scatters.
+        sparse_kernels()
         # Buffers, one set per worker thread (Hogwild threads must not
         # share them), reused across that thread's shards and batches.
         self._scratch = threading.local()

@@ -120,6 +120,10 @@ def _batch_from_request(request: dict, ingest_root: Path | None = None) -> Trace
 
 
 class _Handler(socketserver.StreamRequestHandler):
+    #: TCP_NODELAY on every accepted connection: a reply goes out at
+    #: once instead of waiting for the client's delayed ACK.
+    disable_nagle_algorithm = True
+
     def handle(self) -> None:
         server: "ServeServer" = self.server  # type: ignore[assignment]
         while raw := self.rfile.readline(MAX_REQUEST_BYTES + 1):

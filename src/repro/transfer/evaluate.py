@@ -65,7 +65,7 @@ def partition_agreement(
     def communities_of(embedding):
         vectors = embedding.vectors[embedding.rows_of(common)]
         graph = build_knn_graph(vectors, k_prime=k_prime)
-        return louvain_communities(graph.symmetric_adjacency(), seed=seed)
+        return louvain_communities(graph.symmetric_csr(), seed=seed)
 
     return adjusted_rand_index(
         communities_of(embedding_a), communities_of(embedding_b)

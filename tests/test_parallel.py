@@ -4,7 +4,7 @@ Covers the engine's contract: every skip-gram fit trains through
 :class:`~repro.parallel.trainer.ShardedTrainer` (``workers=1`` on one
 inline thread, bit-reproducible), shards stay within the raw-pair
 budget, ``workers>1`` trains statistically equivalent embeddings, and
-the vectorized ``majority_vote`` / ``symmetric_adjacency`` /
+the vectorized ``majority_vote`` / ``symmetric_csr`` /
 ``expected_pair_count`` / flat pair generation match their reference
 (loop-based) implementations exactly.
 """
@@ -450,6 +450,13 @@ class TestSymmetricAdjacency:
             adjacency[v][u] = adjacency[v].get(u, 0.0) + w
         return adjacency
 
+    @staticmethod
+    def _rows(indptr, indices, weights):
+        return [
+            dict(zip(indices[lo:hi].tolist(), weights[lo:hi].tolist()))
+            for lo, hi in zip(indptr[:-1], indptr[1:])
+        ]
+
     def test_matches_reference_on_random_graphs(self):
         rng = np.random.default_rng(6)
         for trial in range(10):
@@ -461,7 +468,7 @@ class TestSymmetricAdjacency:
                 targets=rng.integers(0, n, e),
                 weights=rng.random(e),
             )
-            result = graph.symmetric_adjacency()
+            result = self._rows(*graph.symmetric_csr())
             reference = self._reference(graph)
             assert len(result) == len(reference)
             for got, want in zip(result, reference):
@@ -474,10 +481,11 @@ class TestSymmetricAdjacency:
         vectors = rng.normal(size=(30, 8))
         graph = build_knn_graph(vectors, k_prime=3)
         indptr, indices, weights = graph.symmetric_csr()
-        adjacency = graph.symmetric_adjacency()
+        adjacency = self._reference(graph)
         assert indptr[0] == 0 and indptr[-1] == len(indices)
         for node, neighbors in enumerate(adjacency):
             lo, hi = indptr[node], indptr[node + 1]
+            assert (np.diff(indices[lo:hi]) > 0).all()
             assert dict(zip(indices[lo:hi].tolist(), weights[lo:hi].tolist())) == neighbors
 
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.corpus.builder import CorpusBuilder
-from repro.graph.louvain import louvain_communities
+from repro.graph.louvain import louvain_communities, symmetric_csr
 from repro.graph.modularity import modularity
 from repro.knn.classifier import knn_search
 from repro.services.single import SingleServiceMap
@@ -101,18 +101,20 @@ class TestLouvainProperties:
     @given(st.integers(0, 1_000), st.integers(4, 25), st.floats(0.05, 0.5))
     def test_partition_valid_and_not_worse_than_trivial(self, seed, n, p):
         rng = np.random.default_rng(seed)
-        adjacency = [dict() for _ in range(n)]
+        edges = []
         for i in range(n):
             for j in range(i + 1, n):
                 if rng.random() < p:
-                    w = float(rng.random()) + 0.1
-                    adjacency[i][j] = w
-                    adjacency[j][i] = w
-        communities = louvain_communities(adjacency, seed=seed)
+                    edges.append((i, j, float(rng.random()) + 0.1))
+        sources, targets, weights = (
+            np.array([edge[k] for edge in edges]) for k in range(3)
+        )
+        csr = symmetric_csr(n, sources, targets, weights)
+        communities = louvain_communities(csr, seed=seed)
         assert len(communities) == n
         assert communities.min() >= 0
-        trivial = modularity(adjacency, np.zeros(n, dtype=int))
-        ours = modularity(adjacency, communities)
+        trivial = modularity(csr, np.zeros(n, dtype=int))
+        ours = modularity(csr, communities)
         assert ours >= trivial - 1e-9
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import json
+import socket
 import threading
 from dataclasses import replace
 
@@ -525,6 +526,32 @@ class TestServerClient:
             out = json.loads(capsys.readouterr().out)
             assert out["results"][0]["label"]
             assert out["results"][1]["error"] == "unknown sender"
+        finally:
+            service.close()
+            server.server_close()
+
+    def test_accepted_connections_disable_nagle(self, fresh_fit, monkeypatch):
+        # A reply must not wait for the client's delayed ACK.
+        from repro.serve.server import _Handler
+
+        darkvec, _ = fresh_fit
+        nodelay = []
+        setup = _Handler.setup
+
+        def recording_setup(handler):
+            setup(handler)
+            nodelay.append(
+                handler.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            )
+
+        monkeypatch.setattr(_Handler, "setup", recording_setup)
+        service = DarkVecService(darkvec, with_clusters=False)
+        server = ServeServer(service, port=0)
+        server.start_background()
+        try:
+            with ServeClient(port=server.port) as client:
+                assert client.ping()["protocol"] >= 1
+            assert len(nodelay) == 1 and nodelay[0] != 0
         finally:
             service.close()
             server.server_close()
