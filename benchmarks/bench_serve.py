@@ -53,6 +53,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import obs
+from repro.ann.base import BACKENDS
 from repro.core import DarkVec, DarkVecConfig
 from repro.obs.sketch import summarize
 from repro.serve import DarkVecService
@@ -291,7 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--ann-backend",
-        choices=("exact", "ivf", "ivfpq", "hnsw"),
+        choices=tuple(BACKENDS),
         default="ivf",
         help="neighbour index served from the snapshot",
     )

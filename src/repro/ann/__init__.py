@@ -1,12 +1,19 @@
 """Approximate and exact nearest-neighbour indexes (see :mod:`.base`)."""
 
-from repro.ann.base import AnnSpec, NeighborIndex, build_index
+from repro.ann.base import (
+    BACKENDS,
+    AnnSpec,
+    NeighborIndex,
+    build_index,
+    can_evolve,
+)
 from repro.ann.exact import ExactIndex, score_chunk_rows
 from repro.ann.hnsw import HNSWIndex
 from repro.ann.ivf import IVFIndex
 from repro.ann.ivfpq import IVFPQIndex
 
 __all__ = [
+    "BACKENDS",
     "AnnSpec",
     "NeighborIndex",
     "ExactIndex",
@@ -14,5 +21,6 @@ __all__ = [
     "IVFIndex",
     "IVFPQIndex",
     "build_index",
+    "can_evolve",
     "score_chunk_rows",
 ]

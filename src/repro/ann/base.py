@@ -3,8 +3,9 @@
 Every DarkVec result — the k = 7 LOO classifier, the k' = 3 Louvain
 graph, drift churn, new-sender extension — reduces to cosine k-NN over
 the row-normalised embedding.  :class:`NeighborIndex` is the single
-contract those consumers search through; :func:`build_index` picks the
-backend from an :class:`AnnSpec`:
+contract those consumers search through, and :data:`BACKENDS` is the
+one table that names its implementations; :func:`build_index` builds
+the one an :class:`AnnSpec` names:
 
 * ``"exact"`` — :class:`repro.ann.exact.ExactIndex`, the brute-force
   chunked matmul search (bit-identical to the historical
@@ -23,7 +24,9 @@ backend from an :class:`AnnSpec`:
 
 All backends return ``(neighbors, similarities)`` of shape (Q, k) with
 neighbours sorted by decreasing float64 cosine similarity, so callers
-never need to know which backend served them.
+never need to know which backend served them.  The approximate
+backends also define ``updated``, which carries an index over to the
+next model generation of a warm update (see :func:`can_evolve`).
 """
 
 from __future__ import annotations
@@ -32,9 +35,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
-
-#: Backends :func:`build_index` knows how to construct.
-BACKENDS = ("exact", "ivf", "ivfpq", "hnsw")
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,8 @@ class AnnSpec:
     def __post_init__(self) -> None:
         if self.backend not in BACKENDS:
             raise ValueError(
-                f"ann backend must be one of {BACKENDS}, got {self.backend!r}"
+                f"ann backend must be one of {tuple(BACKENDS)}, "
+                f"got {self.backend!r}"
             )
         if self.nlist < 0:
             raise ValueError("nlist must be >= 0 (0 means sqrt(N) auto)")
@@ -119,6 +120,13 @@ class NeighborIndex(ABC):
 
     def __len__(self) -> int:
         return len(self.units)
+
+    @classmethod
+    @abstractmethod
+    def build(
+        cls, units: np.ndarray, spec: AnnSpec, workers: int = 1
+    ) -> "NeighborIndex":
+        """Index the row-normalised ``units`` with ``spec``'s knobs."""
 
     @abstractmethod
     def search(
@@ -160,16 +168,28 @@ def build_index(
     units: np.ndarray, spec: AnnSpec | None = None, workers: int = 1
 ) -> NeighborIndex:
     """Construct the index ``spec`` asks for over row-normalised ``units``."""
-    from repro.ann.exact import ExactIndex
-    from repro.ann.hnsw import HNSWIndex
-    from repro.ann.ivf import IVFIndex
-    from repro.ann.ivfpq import IVFPQIndex
-
     spec = spec or AnnSpec()
-    if spec.backend == "exact":
-        return ExactIndex(units)
-    if spec.backend == "ivfpq":
-        return IVFPQIndex.build(units, spec, workers=workers)
-    if spec.backend == "hnsw":
-        return HNSWIndex.build(units, spec, workers=workers)
-    return IVFIndex.build(units, spec, workers=workers)
+    return BACKENDS[spec.backend].build(units, spec, workers=workers)
+
+
+def can_evolve(index: NeighborIndex | None, backend: str) -> bool:
+    """Whether ``index`` can become an index of ``backend`` for the next
+    model generation through its ``updated`` method, instead of a build."""
+    index_class = BACKENDS[backend]
+    return hasattr(index_class, "updated") and isinstance(index, index_class)
+
+
+# The backend modules import NeighborIndex and AnnSpec from this module,
+# so the table naming them is built last.
+from repro.ann.exact import ExactIndex  # noqa: E402
+from repro.ann.hnsw import HNSWIndex  # noqa: E402
+from repro.ann.ivf import IVFIndex  # noqa: E402
+from repro.ann.ivfpq import IVFPQIndex  # noqa: E402
+
+#: Every backend by the name configs, flags and codecs use for it.
+BACKENDS: dict[str, type[NeighborIndex]] = {
+    "exact": ExactIndex,
+    "ivf": IVFIndex,
+    "ivfpq": IVFPQIndex,
+    "hnsw": HNSWIndex,
+}

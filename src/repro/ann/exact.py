@@ -16,7 +16,7 @@ import time
 import numpy as np
 
 from repro import obs
-from repro.ann.base import NeighborIndex, check_query
+from repro.ann.base import AnnSpec, NeighborIndex, check_query
 from repro.parallel.pool import WorkerPool
 
 #: Per-chunk score-buffer budget (bytes).  64 MiB keeps the historical
@@ -109,6 +109,13 @@ class ExactIndex(NeighborIndex):
 
     def __init__(self, units: np.ndarray) -> None:
         self.units = np.asarray(units, dtype=np.float64)
+
+    @classmethod
+    def build(
+        cls, units: np.ndarray, spec: AnnSpec, workers: int = 1
+    ) -> "ExactIndex":
+        """The index is the matrix itself; ``spec`` has no knobs for it."""
+        return cls(units)
 
     def search(
         self,

@@ -65,12 +65,14 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from repro import obs
 from repro.analysis.stats import dataset_stats
+from repro.ann.base import BACKENDS
 from repro.core import DarkVec, DarkVecConfig
 from repro.core.inspection import inspect_clusters
 from repro.graph.silhouette import cluster_silhouettes
@@ -83,6 +85,23 @@ from repro.trace.generator import generate_trace
 from repro.trace.scenario import default_scenario
 from repro.utils.tables import format_table
 from repro.w2v.keyedvectors import KeyedVectors
+
+#: The ANN flags of run, resume, evaluate, cluster, update and serve:
+#: the DarkVecConfig field each sets, and its help.
+_ANN_FLAGS = {
+    "ann_backend": "neighbour-search backend: exact (bit-identical brute "
+    "force), ivf (inverted-file approximate search), ivfpq (inverted file "
+    "+ product-quantized codes, compressed), or hnsw (hierarchical "
+    "navigable small-world graph)",
+    "ann_nlist": "IVF coarse centroids (0 = sqrt(N) at build time)",
+    "ann_nprobe": "IVF lists probed per query (the speed/recall knob)",
+    "ann_pq_m": "ivfpq subspaces per vector (0 = auto: min(16, dim/4))",
+    "ann_pq_bits": "ivfpq bits per code, 1..8 (codebook of 2^bits entries)",
+    "ann_hnsw_m": "hnsw graph degree: links per node on upper layers "
+    "(layer 0 keeps 2m)",
+    "ann_hnsw_ef_build": "hnsw construction beam width",
+    "ann_hnsw_ef_search": "hnsw query beam width (the speed/recall knob)",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -132,84 +151,24 @@ def build_parser() -> argparse.ArgumentParser:
         )
         add_live_flags(cmd)
 
-    def add_ann_flags(cmd: argparse.ArgumentParser) -> None:
-        cmd.add_argument(
-            "--ann-backend",
-            choices=("exact", "ivf", "ivfpq", "hnsw"),
-            default="exact",
-            help="neighbour-search backend: exact (bit-identical brute "
-            "force), ivf (inverted-file approximate search), ivfpq "
-            "(inverted file + product-quantized codes, compressed), or "
-            "hnsw (hierarchical navigable small-world graph)",
-        )
-        cmd.add_argument(
-            "--ann-nlist",
-            type=int,
-            default=0,
-            help="IVF coarse centroids (0 = sqrt(N) at build time)",
-        )
-        cmd.add_argument(
-            "--ann-nprobe",
-            type=int,
-            default=8,
-            help="IVF lists probed per query (the speed/recall knob)",
-        )
-        cmd.add_argument(
-            "--ann-pq-m",
-            type=int,
-            default=0,
-            help="ivfpq subspaces per vector (0 = auto: min(16, dim/4))",
-        )
-        cmd.add_argument(
-            "--ann-pq-bits",
-            type=int,
-            default=8,
-            help="ivfpq bits per code, 1..8 (codebook of 2^bits entries)",
-        )
-        cmd.add_argument(
-            "--ann-hnsw-m",
-            type=int,
-            default=16,
-            help="hnsw graph degree: links per node on upper layers "
-            "(layer 0 keeps 2m)",
-        )
-        cmd.add_argument(
-            "--ann-hnsw-ef-build",
-            type=int,
-            default=80,
-            help="hnsw construction beam width",
-        )
-        cmd.add_argument(
-            "--ann-hnsw-ef-search",
-            type=int,
-            default=8,
-            help="hnsw query beam width (the speed/recall knob)",
-        )
-
-    def add_ann_override_flags(cmd: argparse.ArgumentParser) -> None:
-        # update/serve operate on a saved state: every flag defaults to
-        # None so an unset flag keeps the state's own ANN config.
-        cmd.add_argument(
-            "--ann-backend",
-            choices=("exact", "ivf", "ivfpq", "hnsw"),
-            default=None,
-            help="override the state's neighbour-search backend",
-        )
-        for flag, dest, help_ in (
-            ("--ann-nlist", "ann_nlist", "IVF coarse centroids"),
-            ("--ann-nprobe", "ann_nprobe", "IVF lists probed per query"),
-            ("--ann-pq-m", "ann_pq_m", "ivfpq subspaces per vector"),
-            ("--ann-pq-bits", "ann_pq_bits", "ivfpq bits per code"),
-            ("--ann-hnsw-m", "ann_hnsw_m", "hnsw graph degree"),
-            ("--ann-hnsw-ef-build", "ann_hnsw_ef_build", "hnsw build beam"),
-            ("--ann-hnsw-ef-search", "ann_hnsw_ef_search", "hnsw query beam"),
-        ):
+    def add_ann_flags(
+        cmd: argparse.ArgumentParser, from_state: bool = False
+    ) -> None:
+        # update/serve work on a saved state: there every flag defaults
+        # to None, so an unset flag keeps the state's own ANN config.
+        defaults = DarkVecConfig()
+        for field, help_ in _ANN_FLAGS.items():
+            if field == "ann_backend":
+                kind = {"choices": tuple(BACKENDS)}
+            else:
+                kind = {"type": int}
+            if from_state:
+                help_ += "; default: the state's value"
             cmd.add_argument(
-                flag,
-                dest=dest,
-                type=int,
-                default=None,
-                help=f"override the state's {help_}",
+                "--" + field.replace("_", "-"),
+                default=None if from_state else getattr(defaults, field),
+                help=help_,
+                **kind,
             )
 
     def add_scale_flags(cmd: argparse.ArgumentParser) -> None:
@@ -382,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="override the state's corpus/vocab shard size",
     )
-    add_ann_override_flags(update)
+    add_ann_flags(update, from_state=True)
     add_telemetry_flags(update)
 
     evaluate = sub.add_parser("evaluate", help="leave-one-out 7-NN report")
@@ -609,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="persist the promoted model back to the state directory "
         "on clean shutdown",
     )
-    add_ann_override_flags(serve)
+    add_ann_flags(serve, from_state=True)
     add_live_flags(serve)
     serve.add_argument(
         "--metrics-out",
@@ -805,14 +764,7 @@ def _cmd_run(args) -> int:
         context=args.context,
         seed=args.seed,
         workers=args.workers,
-        ann_backend=args.ann_backend,
-        ann_nlist=args.ann_nlist,
-        ann_nprobe=args.ann_nprobe,
-        ann_pq_m=args.ann_pq_m,
-        ann_pq_bits=args.ann_pq_bits,
-        ann_hnsw_m=args.ann_hnsw_m,
-        ann_hnsw_ef_build=args.ann_hnsw_ef_build,
-        ann_hnsw_ef_search=args.ann_hnsw_ef_search,
+        **_given(args, _ANN_FLAGS),
         shard_size=args.shard_size,
         use_mmap=args.use_mmap,
         pool_backend=args.pool_backend,
@@ -846,27 +798,41 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_update(args) -> int:
-    """Warm incremental retrain of a previously saved fitted state."""
+def _given(args, fields) -> dict:
+    """The values ``args`` holds for ``fields``, skipping unset (None)."""
+    return {
+        field: getattr(args, field)
+        for field in fields
+        if getattr(args, field, None) is not None
+    }
+
+
+def _load_state(args) -> tuple[DarkVec, Path] | None:
+    """The saved state update/serve run on, with the invocation's
+    overrides applied; None, after an error message, without a state
+    location."""
     if args.state is not None:
         state_dir = args.state
     elif args.cache_dir is not None:
         state_dir = args.cache_dir / "state"
     else:
-        print("update needs --state or --cache-dir", file=sys.stderr)
-        return 2
+        print(f"{args.command} needs --state or --cache-dir", file=sys.stderr)
+        return None
     darkvec = DarkVec.load_state(state_dir)
     # Scale knobs may be overridden per invocation (e.g. run the nightly
     # update under the process backend on a bigger machine).
-    overrides = _ann_overrides(args)
-    if args.pool_backend is not None:
-        overrides["pool_backend"] = args.pool_backend
-    if args.shard_size is not None:
-        overrides["shard_size"] = args.shard_size
+    overrides = _given(args, (*_ANN_FLAGS, "pool_backend", "shard_size"))
     if overrides:
-        from dataclasses import replace
-
         darkvec.config = replace(darkvec.config, **overrides)
+    return darkvec, state_dir
+
+
+def _cmd_update(args) -> int:
+    """Warm incremental retrain of a previously saved fitted state."""
+    loaded = _load_state(args)
+    if loaded is None:
+        return 2
+    darkvec, state_dir = loaded
     new_trace = read_trace_csv(args.trace)
     truth = _read_labels(args.labels) if args.labels is not None else None
     darkvec.update(
@@ -916,41 +882,6 @@ def _load_embedding_for(trace, path: Path) -> KeyedVectors:
     )
 
 
-def _ann_overrides(args) -> dict:
-    """Collect the non-None ANN override flags of update/serve."""
-    fields = (
-        "ann_backend",
-        "ann_nlist",
-        "ann_nprobe",
-        "ann_pq_m",
-        "ann_pq_bits",
-        "ann_hnsw_m",
-        "ann_hnsw_ef_build",
-        "ann_hnsw_ef_search",
-    )
-    return {
-        f: getattr(args, f)
-        for f in fields
-        if getattr(args, f, None) is not None
-    }
-
-
-def _ann_spec_of(args):
-    """Build the AnnSpec an evaluate/cluster invocation asked for."""
-    from repro.ann.base import AnnSpec
-
-    return AnnSpec(
-        backend=args.ann_backend,
-        nlist=args.ann_nlist,
-        nprobe=args.ann_nprobe,
-        pq_m=args.ann_pq_m,
-        pq_bits=args.ann_pq_bits,
-        hnsw_m=args.ann_hnsw_m,
-        hnsw_ef_build=args.ann_hnsw_ef_build,
-        hnsw_ef_search=args.ann_hnsw_ef_search,
-    )
-
-
 def _cmd_evaluate(args) -> int:
     from repro.parallel.pool import pool_backend
 
@@ -968,7 +899,7 @@ def _cmd_evaluate(args) -> int:
             rows,
             k=args.k,
             workers=args.workers,
-            spec=_ann_spec_of(args),
+            spec=DarkVecConfig(**_given(args, _ANN_FLAGS)).ann_spec(),
         )
     report = classification_report(labels[rows], predictions)
     print(report.to_text(title=f"{args.k}-NN leave-one-out report"))
@@ -988,7 +919,7 @@ def _cmd_cluster(args) -> int:
             embedding.vectors,
             k_prime=args.k_prime,
             workers=args.workers,
-            spec=_ann_spec_of(args),
+            spec=DarkVecConfig(**_given(args, _ANN_FLAGS)).ann_spec(),
         )
     csr = graph.symmetric_csr()
     communities = louvain_communities(csr, seed=0)
@@ -1389,19 +1320,10 @@ def _cmd_serve(args) -> int:
     """`repro serve`: run the streaming daemon until a shutdown op."""
     from repro.serve import DarkVecService, ServeServer
 
-    if args.state is not None:
-        state_dir = args.state
-    elif args.cache_dir is not None:
-        state_dir = args.cache_dir / "state"
-    else:
-        print("serve needs --state or --cache-dir", file=sys.stderr)
+    loaded = _load_state(args)
+    if loaded is None:
         return 2
-    darkvec = DarkVec.load_state(state_dir)
-    overrides = _ann_overrides(args)
-    if overrides:
-        from dataclasses import replace
-
-        darkvec.config = replace(darkvec.config, **overrides)
+    darkvec, state_dir = loaded
     truth = _read_labels(args.labels) if args.labels is not None else None
     service = DarkVecService(
         darkvec,

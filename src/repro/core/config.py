@@ -16,9 +16,24 @@ from repro.trace.packet import Trace
 #: services, dT = 1 hour, c = 25, V = 50, 10 epochs, k = 7.
 _SERVICE_CHOICES = ("single", "auto", "domain")
 
+#: The ANN knobs an index is built from.  ``ann_recall_sample`` only
+#: observes a search, so it is not one of them.
+ANN_FIELDS = (
+    "ann_backend",
+    "ann_nlist",
+    "ann_nprobe",
+    "ann_pq_m",
+    "ann_pq_bits",
+    "ann_hnsw_m",
+    "ann_hnsw_ef_build",
+    "ann_hnsw_ef_search",
+)
+
 #: Config fields each pipeline stage reads, used to build stage
 #: fingerprints: flipping a field re-runs exactly the stages that list
 #: it (plus their downstream consumers, via upstream artifact hashes).
+#: ``knn-index`` and ``ann-index`` are the lazily built siblings of
+#: ``train`` (see :class:`~repro.core.pipeline.DarkVec`).
 STAGE_CONFIG_FIELDS: dict[str, tuple[str, ...]] = {
     "ingest": (),
     "service-map": ("service", "auto_top_n"),
@@ -33,28 +48,8 @@ STAGE_CONFIG_FIELDS: dict[str, tuple[str, ...]] = {
         "workers",
         "pool_backend",
     ),
-    "knn-index": (
-        "k_prime",
-        "ann_backend",
-        "ann_nlist",
-        "ann_nprobe",
-        "ann_pq_m",
-        "ann_pq_bits",
-        "ann_hnsw_m",
-        "ann_hnsw_ef_build",
-        "ann_hnsw_ef_search",
-    ),
-    "ann-index": (
-        "ann_backend",
-        "ann_nlist",
-        "ann_nprobe",
-        "ann_pq_m",
-        "ann_pq_bits",
-        "ann_hnsw_m",
-        "ann_hnsw_ef_build",
-        "ann_hnsw_ef_search",
-        "seed",
-    ),
+    "knn-index": ("k_prime", *ANN_FIELDS),
+    "ann-index": (*ANN_FIELDS, "seed"),
 }
 
 _POOL_BACKENDS = ("thread", "process")
@@ -95,14 +90,12 @@ class DarkVecConfig:
             bit-identical corpus and vocabulary.
         k_prime: neighbours per vertex of the k'-NN clustering graph
             (the default for :meth:`~repro.core.pipeline.DarkVec.cluster`
-            and the knn-index stage; paper: 3).
+            and its knn-index artifact; paper: 3).
         ann_backend: neighbour-search backend for every k-NN consumer
-            (LOO evaluation, clustering graph, churn, extension):
-            ``"exact"`` (default, bit-identical brute force),
-            ``"ivf"`` (inverted-file approximate search, see
-            :mod:`repro.ann.ivf`), or ``"ivfpq"`` (product-quantized
-            inverted file with exact shortlist rescoring, see
-            :mod:`repro.ann.ivfpq`).
+            (LOO evaluation, clustering graph, churn, extension): a
+            name in :data:`repro.ann.base.BACKENDS` — ``"exact"``
+            (default, bit-identical brute force), ``"ivf"``,
+            ``"ivfpq"`` or ``"hnsw"``.
         ann_nlist: IVF coarse-quantizer centroids; 0 picks
             ``sqrt(N)`` automatically at build time.
         ann_nprobe: inverted lists probed per IVF query (the

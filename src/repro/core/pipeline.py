@@ -27,7 +27,7 @@ import numpy as np
 
 from repro import obs
 from repro.ann import audit as ann_audit
-from repro.ann.base import NeighborIndex, build_index
+from repro.ann.base import NeighborIndex, build_index, can_evolve
 from repro.core.config import DarkVecConfig
 from repro.core.stages import STAGE_VERSIONS, StagedPipeline, StageStatus
 from repro.corpus.builder import CorpusBuilder
@@ -36,15 +36,7 @@ from repro.corpus.windows import WindowGrid
 from repro.graph.knn_graph import KnnGraph, build_knn_graph
 from repro.graph.louvain import louvain_communities
 from repro.graph.modularity import modularity
-from repro.io.artifacts import (
-    HNSW_INDEX_CODEC,
-    HNSW_INDEX_RAW_CODEC,
-    IVF_INDEX_CODEC,
-    IVF_INDEX_RAW_CODEC,
-    IVFPQ_INDEX_CODEC,
-    IVFPQ_INDEX_RAW_CODEC,
-    KNN_GRAPH_CODEC,
-)
+from repro.io.artifacts import INDEX_CODECS, KNN_GRAPH_CODEC
 from repro.knn.loo import leave_one_out_predictions
 from repro.parallel.pool import pool_backend
 from repro.knn.report import ClassificationReport, classification_report
@@ -433,31 +425,21 @@ class DarkVec:
         ``use_mmap`` selects the raw container so a loaded index opens
         its arrays as read-only memmap views instead of heap copies.
         """
-        backend = self.config.ann_backend
-        if backend == "ivf":
-            return IVF_INDEX_RAW_CODEC if self.config.use_mmap else IVF_INDEX_CODEC
-        if backend == "ivfpq":
-            return (
-                IVFPQ_INDEX_RAW_CODEC
-                if self.config.use_mmap
-                else IVFPQ_INDEX_CODEC
-            )
-        if backend == "hnsw":
-            return (
-                HNSW_INDEX_RAW_CODEC
-                if self.config.use_mmap
-                else HNSW_INDEX_CODEC
-            )
-        return None
+        codecs = INDEX_CODECS.get(self.config.ann_backend)
+        if codecs is None:
+            return None
+        npz_codec, raw_codec = codecs
+        return raw_codec if self.config.use_mmap else npz_codec
 
     def _ann_index(self) -> NeighborIndex:
         """The neighbour index over the fitted embedding.
 
         Built lazily on first use and invalidated whenever the
-        embedding changes.  IVF and IVF-PQ indexes are first-class
-        pipeline artifacts: with a store configured they are persisted
+        embedding changes.  Every backend with a codec pair in
+        :data:`~repro.io.artifacts.INDEX_CODECS` is a first-class
+        pipeline artifact: with a store configured it is persisted
         under the ``ann-index`` fingerprint (train hash + ANN config
-        fields) and loaded back instead of retrained.
+        fields) and loaded back instead of rebuilt.
         """
         _, embedding = self._require_fit()
         if self._index is not None:
@@ -489,37 +471,18 @@ class DarkVec:
     ) -> None:
         """Carry the ANN index across a warm update instead of rebuilding.
 
-        Called with the candidate embedding already installed.  Rows
-        retained from the prior model keep their inverted list, fresh
-        senders join their nearest list, evicted senders drop out; the
-        quantizer retrains only past the imbalance threshold (see
-        :meth:`repro.ann.ivf.IVFIndex.updated` and the IVF-PQ variant,
-        which additionally re-encodes every code).  HNSW evolves the
-        layered graph in place: fresh senders are inserted through the
-        normal construction beam, evicted senders become tombstones,
-        and a full rebuild happens only past the occupancy threshold
-        (see :meth:`repro.ann.hnsw.HNSWIndex.updated`).  Without a live
-        approximate index of the configured backend there is nothing to
-        evolve — the next consumer rebuilds lazily via
-        :meth:`_ann_index`.
+        Called with the candidate embedding already installed.  The
+        live index evolves through its backend's ``updated`` method
+        (e.g. :meth:`repro.ann.ivf.IVFIndex.updated`): retained senders
+        keep their place, fresh senders join, evicted senders drop out,
+        and a full rebuild happens only past the backend's threshold.
+        Without a live index of the configured backend that has an
+        ``updated`` method (see :func:`repro.ann.base.can_evolve`)
+        there is nothing to evolve — the next consumer rebuilds lazily
+        via :meth:`_ann_index`.
         """
-        from repro.ann.hnsw import HNSWIndex
-        from repro.ann.ivf import IVFIndex
-        from repro.ann.ivfpq import IVFPQIndex
-
         self._index = None
-        backend = self.config.ann_backend
-        if backend == "ivfpq":
-            evolvable = isinstance(prior_index, IVFPQIndex)
-        elif backend == "ivf":
-            evolvable = isinstance(prior_index, IVFIndex) and not isinstance(
-                prior_index, IVFPQIndex
-            )
-        elif backend == "hnsw":
-            evolvable = isinstance(prior_index, HNSWIndex)
-        else:
-            evolvable = False
-        if not evolvable:
+        if not can_evolve(prior_index, self.config.ann_backend):
             return
         prior_rows = prior.rows_of(refit.tokens)
         self._index = prior_index.updated(
@@ -843,9 +806,15 @@ class DarkVec:
     # ------------------------------------------------------------------
 
     def _knn_graph(self, k_prime: int) -> KnnGraph:
-        """k'-NN graph over the embedding, via the store when possible."""
-        embedding = self.embedding
-        if self.store is not None and self._embedding_hash is not None:
+        """k'-NN graph over the embedding, via the store when possible.
+
+        The one writer of the ``knn-index`` artifact: the graph is
+        searched through :meth:`_ann_index`, so a cached or evolved
+        index serves it, and it is keyed by the train hash plus
+        ``k_prime`` and the ANN config fields.
+        """
+        cacheable = self.store is not None and self._embedding_hash is not None
+        if cacheable:
             fingerprint = stage_fingerprint(
                 "knn-index",
                 STAGE_VERSIONS["knn-index"],
@@ -855,27 +824,22 @@ class DarkVec:
             cached = self.store.load("knn-index", fingerprint, KNN_GRAPH_CODEC)
             if cached is not None:
                 return cached[0]
-            graph = build_knn_graph(
-                embedding.vectors,
-                k_prime=k_prime,
-                workers=self.config.workers,
-                index=self._ann_index(),
-            )
-            self.store.save("knn-index", fingerprint, KNN_GRAPH_CODEC, graph)
-            return graph
-        return build_knn_graph(
-            embedding.vectors,
+        graph = build_knn_graph(
+            self.embedding.vectors,
             k_prime=k_prime,
             workers=self.config.workers,
             index=self._ann_index(),
         )
+        if cacheable:
+            self.store.save("knn-index", fingerprint, KNN_GRAPH_CODEC, graph)
+        return graph
 
     def cluster(self, k_prime: int | None = None, seed: int = 0) -> ClusterResult:
         """k'-NN graph + Louvain clustering of all embedded senders.
 
         ``k_prime`` defaults to ``config.k_prime``.  With a store
-        configured the knn-index stage artifact is reused when the
-        embedding and ``k_prime`` are unchanged.
+        configured the knn-index artifact is reused when the embedding,
+        ``k_prime`` and the ANN config are unchanged.
         """
         self._require_fit()
         if k_prime is None:

@@ -1,12 +1,16 @@
 """The explicit stage graph behind :meth:`DarkVec.fit`.
 
-The monolithic ``fit`` is decomposed into six stages::
+The monolithic ``fit`` is decomposed into five stages, and the train
+artifact has two lazily built siblings::
 
-    ingest ──► service-map ──► corpus ──► vocab ──► train ──► knn-index
-       │____________│____________▲          ▲
+    ingest ──► service-map ──► corpus ──► vocab ──► train ──┬──► ann-index  (lazy)
+       │____________│____________▲          ▲               └──► knn-index  (lazy)
        │_________________________│__________│
 
-Each stage consumes and produces persistable artifacts.  When an
+Each stage consumes and produces persistable artifacts.  ``ann-index``
+(the neighbour index) and ``knn-index`` (the k'-NN clustering graph)
+are not stages of this module: :class:`~repro.core.pipeline.DarkVec`
+builds them on first use and keys them by the train hash.  When an
 :class:`~repro.store.cache.ArtifactStore` is configured, every stage is
 keyed by a fingerprint of (stage code version, the config fields it
 reads, the content hashes of its upstream artifacts): re-running with
@@ -34,14 +38,12 @@ from repro import obs
 from repro.core.config import DarkVecConfig
 from repro.corpus.builder import CorpusBuilder
 from repro.corpus.document import Corpus
-from repro.graph.knn_graph import KnnGraph, build_knn_graph
 from repro.core.sharding import build_corpus_sharded, build_vocab_streaming
 from repro.io.artifacts import (
     CORPUS_CODEC,
     CORPUS_RAW_CODEC,
     KEYEDVECTORS_CODEC,
     KEYEDVECTORS_RAW_CODEC,
-    KNN_GRAPH_CODEC,
     SERVICE_MAP_CODEC,
     TRACE_CODEC,
     TRACE_RAW_CODEC,
@@ -59,7 +61,7 @@ from repro.w2v.model import Word2Vec
 from repro.w2v.vocab import Vocabulary
 
 #: Execution order of the stage graph.
-STAGE_ORDER = ("ingest", "service-map", "corpus", "vocab", "train", "knn-index")
+STAGE_ORDER = ("ingest", "service-map", "corpus", "vocab", "train")
 
 #: Code version per stage; bump when a stage's semantics change so
 #: stale cached artifacts stop matching.
@@ -69,10 +71,9 @@ STAGE_VERSIONS = {
     "corpus": 1,
     "vocab": 1,
     "train": 1,
+    # Not part of STAGE_ORDER: lazily built siblings of train, keyed
+    # off the train hash (see DarkVec._ann_index and DarkVec._knn_graph).
     "knn-index": 1,
-    # Not part of STAGE_ORDER: the ANN index is a lazily-built sibling
-    # artifact of knn-index, keyed off the train hash (see
-    # DarkVec._ann_index).
     "ann-index": 1,
 }
 
@@ -110,7 +111,6 @@ class PipelineArtifacts:
         active: sender indices passing the activity filter.
         vocab: activity-filtered training vocabulary.
         embedding: trained sender embedding.
-        graph: directed k'-NN graph (None unless the knn-index stage ran).
         t_origin: origin of the dT window grid (first packet time).
         statuses: per-stage cache outcomes, in execution order.
     """
@@ -122,7 +122,6 @@ class PipelineArtifacts:
     active: np.ndarray
     vocab: Vocabulary
     embedding: KeyedVectors | None = None
-    graph: KnnGraph | None = None
     t_origin: float = 0.0
     statuses: list[StageStatus] = field(default_factory=list)
 
@@ -377,7 +376,7 @@ class StagedPipeline:
         train_inputs = None
         if warm_init is not None:
             train_inputs = {"warm_init": KEYEDVECTORS_CODEC.content_hash(warm_init)}
-        embedding, train_hash = self._run_stage(
+        embedding, _ = self._run_stage(
             "train",
             config.stage_fields("train"),
             {"corpus": corpus_hash, "vocab": vocab_hash},
@@ -387,25 +386,4 @@ class StagedPipeline:
             inputs=train_inputs,
         )
         artifacts.embedding = embedding
-        if last == 4:
-            return artifacts
-
-        # -- knn-index -----------------------------------------------------
-        def compute_graph():
-            return build_knn_graph(
-                embedding.vectors,
-                k_prime=config.k_prime,
-                workers=config.workers,
-                spec=config.ann_spec(),
-            )
-
-        graph, _ = self._run_stage(
-            "knn-index",
-            config.stage_fields("knn-index"),
-            {"train": train_hash},
-            KNN_GRAPH_CODEC,
-            compute_graph,
-            statuses,
-        )
-        artifacts.graph = graph
         return artifacts

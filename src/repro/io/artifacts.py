@@ -419,6 +419,15 @@ IVF_INDEX_RAW_CODEC = RawCodec(_ivf_to_payload, _ivf_from_payload)
 IVFPQ_INDEX_RAW_CODEC = RawCodec(_ivfpq_to_payload, _ivfpq_from_payload)
 HNSW_INDEX_RAW_CODEC = RawCodec(_hnsw_to_payload, _hnsw_from_payload)
 
+#: ``(npz, raw)`` codec pair of every persisted ANN index, keyed by its
+#: name in :data:`repro.ann.base.BACKENDS`.  ``"exact"`` has none: its
+#: index is the embedding itself.
+INDEX_CODECS = {
+    "ivf": (IVF_INDEX_CODEC, IVF_INDEX_RAW_CODEC),
+    "ivfpq": (IVFPQ_INDEX_CODEC, IVFPQ_INDEX_RAW_CODEC),
+    "hnsw": (HNSW_INDEX_CODEC, HNSW_INDEX_RAW_CODEC),
+}
+
 #: Codec for service-map spec documents.
 SERVICE_MAP_CODEC = JsonCodec()
 

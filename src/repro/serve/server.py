@@ -4,7 +4,9 @@ The daemon listens on localhost only.  The protocol is one JSON object
 per line in each direction: the request carries ``{"op": ..., ...}``,
 the response ``{"ok": true, ...}`` or ``{"ok": false, "error": ...}``.
 A request line longer than :data:`MAX_REQUEST_BYTES` gets an error
-reply and closes its connection.
+reply and closes its connection; an IP list longer than
+:data:`MAX_QUERY_IPS` or a ``neighbors`` ``k`` above
+:data:`MAX_QUERY_K` gets an error reply and the connection stays open.
 Connections are handled by a thread pool (``ThreadingTCPServer``), so
 queries answer concurrently with ingestion and with each other — the
 read path only ever touches the immutable current snapshot.
@@ -74,6 +76,36 @@ PROTOCOL_VERSION = 1
 #: packet, so 64 MiB leaves room for micro-batches of ~500k packets;
 #: larger batches go by ``path``.
 MAX_REQUEST_BYTES = 64 << 20
+
+#: Most senders one ``classify``/``neighbors`` IP list may name.  A
+#: list is answered by one search whose whole reply is built in memory
+#: while the request holds a server thread; uncapped, one ``neighbors``
+#: list over a 5,000-sender model asks for 5,000 x 4,999 entries.
+#: 1,024 is 16 times the 64-sender lists the benchmarks send.
+MAX_QUERY_IPS = 1024
+
+#: Largest ``k`` a ``neighbors`` request may ask for.  Each neighbour
+#: adds about 80 reply bytes per queried sender, so together with
+#: :data:`MAX_QUERY_IPS` this keeps one reply near 8 MB; the paper's
+#: analyses use k = 7 and k' = 3.
+MAX_QUERY_K = 100
+
+
+def _bounded_ips(ips: list) -> list:
+    """``ips``, after checking it against :data:`MAX_QUERY_IPS`."""
+    if len(ips) > MAX_QUERY_IPS:
+        raise ValueError(
+            f"ip list of {len(ips)} senders exceeds the limit of "
+            f"{MAX_QUERY_IPS} (MAX_QUERY_IPS)"
+        )
+    return ips
+
+
+def _bounded_k(k):
+    """A request's ``k``, after checking it against :data:`MAX_QUERY_K`."""
+    if k is not None and int(k) > MAX_QUERY_K:
+        raise ValueError(f"k={k} exceeds the limit of {MAX_QUERY_K} (MAX_QUERY_K)")
+    return k
 
 
 def _batch_from_request(request: dict, ingest_root: Path | None = None) -> Trace:
@@ -217,13 +249,14 @@ class ServeServer(socketserver.ThreadingTCPServer):
         if op == "classify":
             ip = request["ip"]
             if isinstance(ip, (list, tuple)):
-                return {"ok": True, **service.classify_many(ip)}
+                return {"ok": True, **service.classify_many(_bounded_ips(ip))}
             return {"ok": True, **service.classify(ip)}
         if op == "neighbors":
             ip = request["ip"]
+            k = _bounded_k(request.get("k"))
             if isinstance(ip, (list, tuple)):
-                return {"ok": True, **service.neighbors_many(ip, k=request.get("k"))}
-            return {"ok": True, **service.neighbors(ip, k=request.get("k"))}
+                return {"ok": True, **service.neighbors_many(_bounded_ips(ip), k=k)}
+            return {"ok": True, **service.neighbors(ip, k=k)}
         if op == "members":
             return {
                 "ok": True,

@@ -1,8 +1,9 @@
 """Content-addressed artifact store for the staged pipeline.
 
 Every stage of the DarkVec pipeline (``ingest -> service-map ->
-corpus -> vocab -> train -> knn-index``) consumes and produces
-persistable artifacts.  This package provides:
+corpus -> vocab -> train``, plus the lazily built ``ann-index`` and
+``knn-index`` siblings of ``train``) consumes and produces persistable
+artifacts.  This package provides:
 
 * :mod:`repro.store.fingerprint` — stable content hashes over plain
   values and numpy arrays, and the stage-fingerprint recipe

@@ -17,11 +17,12 @@ from repro.ann import (
 from repro.ann import audit
 from repro.ann import exact as exact_mod
 from repro.ann import hnsw as hnsw_mod
+from repro.ann.base import BACKENDS
 from repro.ann.ivf import RETRAIN_IMBALANCE
 from repro.core import DarkVec, DarkVecConfig
 from repro.io.artifacts import (
     HNSW_INDEX_CODEC,
-    HNSW_INDEX_RAW_CODEC,
+    INDEX_CODECS,
     IVF_INDEX_CODEC,
 )
 from repro.knn.classifier import CosineKnn, knn_search
@@ -362,6 +363,30 @@ class TestStoreRoundTrip:
         np.testing.assert_array_equal(original[1], restored[1])
 
 
+class TestIndexCodecs:
+    def test_codecs_are_keyed_by_backend_names(self):
+        assert set(INDEX_CODECS) <= set(BACKENDS)
+
+    @pytest.mark.parametrize("container", [0, 1], ids=["npz", "raw"])
+    @pytest.mark.parametrize(
+        "backend", [name for name in BACKENDS if name in INDEX_CODECS]
+    )
+    def test_round_trip_keeps_spec_and_search(
+        self, tmp_path, backend, container
+    ):
+        units = clustered_units(seed=8)
+        index = build_index(units, AnnSpec(backend=backend, seed=2))
+        codec = INDEX_CODECS[backend][container]
+        store = ArtifactStore(tmp_path)
+        store.save("ann-index", "fp-round-trip", codec, index)
+        loaded, _ = store.load("ann-index", "fp-round-trip", codec)
+        assert type(loaded) is type(index)
+        assert loaded.spec == index.spec
+        rows = np.arange(len(units))
+        for got, want in zip(loaded.search(rows, 7), index.search(rows, 7)):
+            np.testing.assert_array_equal(got, want)
+
+
 class TestCosineKnnCache:
     def test_predict_and_distances_share_one_search(self):
         units = clustered_units(n=120, seed=10)
@@ -551,26 +576,6 @@ class TestHNSWUpdate:
 
 
 class TestHNSWStoreRoundTrip:
-    @pytest.mark.parametrize(
-        "codec",
-        [HNSW_INDEX_CODEC, HNSW_INDEX_RAW_CODEC],
-        ids=["npz", "raw"],
-    )
-    def test_codec_round_trip_search_equality(self, tmp_path, codec):
-        units = clustered_units(n=250, seed=8)
-        spec = AnnSpec(backend="hnsw", seed=2)
-        index = HNSWIndex.build(units, spec)
-        store = ArtifactStore(tmp_path)
-        store.save("ann-index", "fp-hnsw", codec, index)
-        loaded, _ = store.load("ann-index", "fp-hnsw", codec)
-        assert isinstance(loaded, HNSWIndex)
-        assert loaded.spec == spec
-        rows = np.arange(250)
-        original = index.search(rows, 5)
-        restored = loaded.search(rows, 5)
-        np.testing.assert_array_equal(original[0], restored[0])
-        np.testing.assert_array_equal(original[1], restored[1])
-
     def test_round_trip_preserves_tombstones(self, tmp_path):
         units = clustered_units(n=300, seed=8)
         index = HNSWIndex.build(units, AnnSpec(backend="hnsw", seed=2))

@@ -1,5 +1,7 @@
 """Tests for the command-line interface (end-to-end workflow)."""
 
+import argparse
+
 import numpy as np
 import pytest
 
@@ -235,6 +237,114 @@ class TestParser:
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             main(["bogus"])
+
+
+#: The arguments each verb that takes the ANN flags requires.
+_ANN_VERB_ARGS = {
+    "run": ["--trace", "t.csv", "--cache-dir", "c"],
+    "resume": ["--trace", "t.csv", "--cache-dir", "c"],
+    "evaluate": ["--trace", "t.csv", "--vectors", "v.npz", "--labels", "l.csv"],
+    "cluster": ["--trace", "t.csv", "--vectors", "v.npz"],
+    "update": ["--trace", "d.csv", "--cache-dir", "c"],
+    "serve": ["--cache-dir", "c"],
+}
+
+#: The DarkVecConfig fields the ANN flags set.
+_ANN_FIELDS = (
+    "ann_backend",
+    "ann_nlist",
+    "ann_nprobe",
+    "ann_pq_m",
+    "ann_pq_bits",
+    "ann_hnsw_m",
+    "ann_hnsw_ef_build",
+    "ann_hnsw_ef_search",
+)
+
+
+def _ann_args(argv: list[str]) -> dict:
+    """The ``ann_*`` values the parser gives for ``argv``."""
+    from repro.cli import build_parser
+
+    args = build_parser().parse_args(argv)
+    return {k: v for k, v in vars(args).items() if k.startswith("ann_")}
+
+
+class TestAnnFlags:
+    @pytest.mark.parametrize("verb", ["run", "resume", "evaluate", "cluster"])
+    def test_defaults_equal_the_config_defaults(self, verb):
+        from repro.core import DarkVecConfig
+
+        defaults = DarkVecConfig()
+        assert _ann_args([verb, *_ANN_VERB_ARGS[verb]]) == {
+            field: getattr(defaults, field) for field in _ANN_FIELDS
+        }
+
+    @pytest.mark.parametrize("verb", ["update", "serve"])
+    def test_state_verbs_override_nothing_by_default(self, verb):
+        assert _ann_args([verb, *_ANN_VERB_ARGS[verb]]) == dict.fromkeys(
+            _ANN_FIELDS
+        )
+
+    @pytest.mark.parametrize("verb", ["update", "serve"])
+    def test_state_verbs_override_exactly_the_given_flags(self, verb):
+        given = _ann_args(
+            [
+                verb,
+                *_ANN_VERB_ARGS[verb],
+                "--ann-backend", "hnsw",
+                "--ann-hnsw-ef-search", "16",
+                "--ann-nlist", "0",
+            ]
+        )
+        assert {k: v for k, v in given.items() if v is not None} == {
+            "ann_backend": "hnsw",
+            "ann_hnsw_ef_search": 16,
+            "ann_nlist": 0,
+        }
+
+    @pytest.mark.parametrize("verb", sorted(_ANN_VERB_ARGS))
+    def test_backend_choices_are_the_backend_table(self, verb):
+        from repro.ann.base import BACKENDS
+        from repro.cli import build_parser
+
+        (verbs,) = [
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        (flag,) = [
+            action
+            for action in verbs.choices[verb]._actions
+            if action.dest == "ann_backend"
+        ]
+        assert tuple(flag.choices) == tuple(BACKENDS)
+
+    def test_update_applies_exactly_the_given_overrides(
+        self, staged_workspace, tmp_path
+    ):
+        import dataclasses
+        import shutil
+
+        from repro.core import DarkVec
+
+        _, _, cache_dir, tail_file = staged_workspace
+        state = tmp_path / "state"
+        shutil.copytree(cache_dir / "state", state)
+        before = DarkVec.load_state(state).config
+        rc = main(
+            [
+                "update",
+                "--trace", str(tail_file),
+                "--state", str(state),
+                "--ann-backend", "ivf",
+                "--ann-nprobe", "4",
+            ]
+        )
+        assert rc == 0
+        assert DarkVec.load_state(state).config == dataclasses.replace(
+            before, ann_backend="ivf", ann_nprobe=4
+        )
 
 
 class TestPresets:

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import repro.core.pipeline as pipeline_module
+from repro.ann import ExactIndex, IVFIndex, IVFPQIndex
 from repro.core import DarkVec, DarkVecConfig
 from repro.core.pipeline import NotFittedError
 from repro.corpus.builder import CorpusBuilder
+from repro.io.artifacts import IVF_INDEX_CODEC, IVFPQ_INDEX_CODEC
 from repro.trace.merge import merge_traces
 from repro.trace.packet import SECONDS_PER_DAY
 from repro.w2v.keyedvectors import KeyedVectors
@@ -168,16 +173,18 @@ class TestVocabularyOps:
         assert np.array_equal(merged.counts, [3, 5, 6])
 
 
-class TestUpdate:
-    @pytest.fixture(scope="class")
-    def split_trace(self, small_trace):
-        t0 = small_trace.start_time
-        cut = t0 + 5 * DAY
-        return (
-            small_trace.between(t0, cut),
-            small_trace.between(cut, np.inf),
-        )
+@pytest.fixture(scope="module")
+def split_trace(small_trace):
+    """The first five days of the small trace, and the rest."""
+    t0 = small_trace.start_time
+    cut = t0 + 5 * DAY
+    return (
+        small_trace.between(t0, cut),
+        small_trace.between(cut, np.inf),
+    )
 
+
+class TestUpdate:
     def test_requires_fit(self, tiny_trace):
         with pytest.raises(NotFittedError):
             DarkVec().update(tiny_trace)
@@ -243,6 +250,99 @@ class TestUpdate:
         assert np.array_equal(
             restored.embedding.vectors, darkvec.embedding.vectors
         )
+
+
+def _record_calls(monkeypatch, owner, name: str) -> list[tuple]:
+    """Wrap ``owner.name`` so each call's positional arguments are kept."""
+    calls: list[tuple] = []
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+class TestIndexEvolution:
+    """A warm update carries an approximate index through ``.updated()``."""
+
+    @pytest.mark.parametrize(
+        "backend, index_class", [("ivf", IVFIndex), ("ivfpq", IVFPQIndex)]
+    )
+    def test_update_evolves_the_live_index(
+        self, split_trace, monkeypatch, backend, index_class
+    ):
+        head, tail = split_trace
+        config = DarkVecConfig(epochs=2, seed=3, ann_backend=backend)
+        darkvec = DarkVec(config).fit(head)
+        prior = darkvec._ann_index()
+        evolved = _record_calls(monkeypatch, index_class, "updated")
+        builds = _record_calls(monkeypatch, pipeline_module, "build_index")
+        darkvec.update(tail)
+        assert [call[0] for call in evolved] == [prior]
+        assert builds == []
+        assert isinstance(darkvec._index, index_class)
+        assert len(darkvec._index) == len(darkvec.embedding)
+        darkvec.cluster()  # searches the evolved index, builds nothing
+        assert builds == []
+
+    @pytest.mark.parametrize(
+        "backend, codec",
+        [("ivf", IVF_INDEX_CODEC), ("ivfpq", IVFPQ_INDEX_CODEC)],
+    )
+    def test_update_stores_the_evolved_index(
+        self, split_trace, tmp_path, backend, codec
+    ):
+        head, tail = split_trace
+        config = DarkVecConfig(
+            epochs=2, seed=3, ann_backend=backend, cache_dir=tmp_path
+        )
+        darkvec = DarkVec(config).fit(head)
+        darkvec._ann_index()
+        darkvec.update(tail)
+        evolved = darkvec._index
+        stored, _ = darkvec.store.load(
+            "ann-index", darkvec._ann_fingerprint(), codec
+        )
+        np.testing.assert_array_equal(stored.assign, evolved.assign)
+        rows = np.arange(len(evolved))
+        for got, want in zip(stored.search(rows, 7), evolved.search(rows, 7)):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "backend, other, other_class",
+        [("ivf", "ivfpq", IVFPQIndex), ("ivfpq", "ivf", IVFIndex)],
+    )
+    def test_switched_backend_is_rebuilt_not_evolved(
+        self, split_trace, monkeypatch, backend, other, other_class
+    ):
+        head, tail = split_trace
+        config = DarkVecConfig(epochs=2, seed=3, ann_backend=backend)
+        darkvec = DarkVec(config).fit(head)
+        darkvec._ann_index()
+        darkvec.config = replace(darkvec.config, ann_backend=other)
+        ivf_updates = _record_calls(monkeypatch, IVFIndex, "updated")
+        ivfpq_updates = _record_calls(monkeypatch, IVFPQIndex, "updated")
+        builds = _record_calls(monkeypatch, pipeline_module, "build_index")
+        darkvec.update(tail)
+        assert ivf_updates == [] and ivfpq_updates == [] and builds == []
+        assert darkvec._index is None
+        darkvec.cluster()  # the next search builds the new backend
+        assert len(builds) == 1
+        assert isinstance(darkvec._index, other_class)
+
+    def test_exact_never_evolves(self, split_trace, monkeypatch):
+        head, tail = split_trace
+        darkvec = DarkVec(DarkVecConfig(epochs=2, seed=3)).fit(head)
+        darkvec._ann_index()
+        builds = _record_calls(monkeypatch, pipeline_module, "build_index")
+        darkvec.update(tail)
+        assert darkvec._index is None
+        darkvec.cluster()
+        assert len(builds) == 1
+        assert isinstance(darkvec._index, ExactIndex)
 
 
 class TestEmptyEvaluationWindow:

@@ -617,6 +617,39 @@ class TestServerClient:
             service.close()
             server._shutdown_requested.set()
 
+    def test_oversized_queries_are_refused_and_daemon_keeps_serving(
+        self, fresh_fit, monkeypatch
+    ):
+        import repro.serve.server as server_module
+
+        # The benchmarks' 64-sender lists and k = 7 fit the real limits.
+        assert server_module.MAX_QUERY_IPS >= 64
+        assert server_module.MAX_QUERY_K >= 7
+        monkeypatch.setattr(server_module, "MAX_QUERY_IPS", 4)
+        monkeypatch.setattr(server_module, "MAX_QUERY_K", 5)
+        darkvec, _ = fresh_fit
+        service = DarkVecService(darkvec, with_clusters=False)
+        server = ServeServer(service, port=0)
+        server.start_background()
+        ips = [ip_to_str(int(ip)) for ip in service.snapshot.sender_ips[:5]]
+        try:
+            with ServeClient(port=server.port) as client:
+                with pytest.raises(ServeError, match="limit of 4 .MAX_QUERY_IPS"):
+                    client.classify_many(ips)
+                with pytest.raises(ServeError, match="limit of 4 .MAX_QUERY_IPS"):
+                    client.neighbors_many(ips, k=2)
+                with pytest.raises(ServeError, match="limit of 5 .MAX_QUERY_K"):
+                    client.neighbors(ips[0], k=6)
+                with pytest.raises(ServeError, match="limit of 5 .MAX_QUERY_K"):
+                    client.neighbors_many(ips[:4], k=6)
+                # at the limits the same connection answers as before
+                assert len(client.classify_many(ips[:4])["results"]) == 4
+                reply = client.neighbors_many(ips[:4], k=5)
+                assert [len(r["neighbors"]) for r in reply["results"]] == [5] * 4
+        finally:
+            service.close()
+            server._shutdown_requested.set()
+
     @pytest.mark.parametrize(
         "bad, error",
         [

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core import DarkVec, DarkVecConfig
-from repro.core.stages import STAGE_ORDER, StagedPipeline
+from repro.core.stages import StagedPipeline
 from repro.corpus.document import Corpus, Sentence
 from repro.graph.knn_graph import KnnGraph
 from repro.io.artifacts import (
@@ -238,15 +238,25 @@ class TestCacheCorrectness:
     def test_flipping_k_prime_invalidates_only_knn_index(
         self, cached_fit, small_trace
     ):
-        cache_dir, config, darkvec = cached_fit
+        _, config, darkvec = cached_fit
+
+        def store_ops(fitted: DarkVec) -> dict[str, int]:
+            """Artifact-store hits, misses and writes of one cluster()."""
+            telemetry = obs.Telemetry()
+            with obs.session(telemetry):
+                fitted.cluster()
+            counters = telemetry.registry.counters
+            return {
+                op: counters.get(f"store.{op}", 0)
+                for op in ("hits", "misses", "writes")
+            }
+
         darkvec.cluster()  # populate the knn-index artifact
+        assert store_ops(darkvec) == {"hits": 1, "misses": 0, "writes": 0}
         flipped = dataclasses.replace(config, k_prime=config.k_prime + 1)
-        pipeline = StagedPipeline(flipped, store=ArtifactStore(cache_dir))
-        artifacts = pipeline.run(small_trace, until="knn-index")
-        by_stage = {s.stage: s.status for s in artifacts.statuses}
-        assert by_stage["knn-index"] == "miss"
-        for stage in STAGE_ORDER[:-1]:
-            assert by_stage[stage] == "hit", stage
+        refit = DarkVec(flipped).fit(small_trace)
+        assert [s.status for s in refit.stage_statuses] == ["hit"] * 5
+        assert store_ops(refit) == {"hits": 0, "misses": 1, "writes": 1}
 
     def test_flipping_delta_t_invalidates_corpus_downstream(
         self, cached_fit, small_trace
