@@ -204,7 +204,7 @@ def sweep_size(units: np.ndarray, n_queries: int, seed: int) -> dict:
             AnnSpec(backend="ivf", nprobe=nprobe, recall_sample=0, seed=seed),
             ivf.centroids,
             ivf.assign,
-            units32=ivf.units32,
+            lists32=ivf.lists32,
         )
         seconds, recall = timed_recall(probed)
         ivf_settings.append(setting("nprobe", nprobe, seconds, recall))

@@ -9,7 +9,7 @@ the one an :class:`AnnSpec` names:
 
 * ``"exact"`` — :class:`repro.ann.exact.ExactIndex`, the brute-force
   chunked matmul search (bit-identical to the historical
-  ``knn_search``).
+  ``knn_search`` at one worker).
 * ``"ivf"`` — :class:`repro.ann.ivf.IVFIndex`, an inverted-file index
   with a spherical k-means coarse quantizer and multi-probe search.
 * ``"ivfpq"`` — :class:`repro.ann.ivfpq.IVFPQIndex`, the inverted file
@@ -143,12 +143,23 @@ class NeighborIndex(ABC):
             k: neighbours per query.
             exclude_self: drop the query row from its own list.
             workers: query chunks dispatched to a thread pool (0 = all
-                cores).  Chunks write disjoint output slices, so the
-                result is bitwise identical for every ``workers`` value.
+                cores).
 
         Returns:
             ``(neighbors, similarities)`` of shape (Q, k); neighbours
             sorted by decreasing float64 similarity.
+
+        A search is reproducible bit for bit for the same query rows
+        and ``workers``.  A row's neighbours do not depend on the batch
+        it is searched in, its order in it, or ``workers``, unless two
+        candidates tie to within rounding (float64 for the exact
+        backend, float32 for the approximate backends' candidate
+        scores).  Similarities are float64 dot products of the
+        returned pairs; the approximate backends compute them one pair
+        at a time, so they match bit for bit across batches, except
+        for queries answered by an exhaustive fallback, which like the
+        exact backend's may differ in the last bit (see
+        :mod:`repro.ann.exact`).
         """
 
 
@@ -172,11 +183,26 @@ def build_index(
     return BACKENDS[spec.backend].build(units, spec, workers=workers)
 
 
-def can_evolve(index: NeighborIndex | None, backend: str) -> bool:
-    """Whether ``index`` can become an index of ``backend`` for the next
-    model generation through its ``updated`` method, instead of a build."""
-    index_class = BACKENDS[backend]
-    return hasattr(index_class, "updated") and isinstance(index, index_class)
+def can_evolve(index: NeighborIndex | None, spec: AnnSpec) -> bool:
+    """Whether ``index`` can become the index ``spec`` asks for in the
+    next model generation through its ``updated`` method, instead of a
+    build.
+
+    It can when it is of ``spec``'s backend, that backend has
+    ``updated``, and ``index`` was built from the same build-time
+    knobs (its class's ``BUILD_FIELDS``).  The search-time knobs
+    (``nprobe``, ``recall_sample``, ...) may differ: ``updated(...,
+    spec=spec)`` carries them into the evolved index.
+    """
+    index_class = BACKENDS[spec.backend]
+    return (
+        hasattr(index_class, "updated")
+        and isinstance(index, index_class)
+        and all(
+            getattr(index.spec, field) == getattr(spec, field)
+            for field in index_class.BUILD_FIELDS
+        )
+    )
 
 
 # The backend modules import NeighborIndex and AnnSpec from this module,

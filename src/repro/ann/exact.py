@@ -4,9 +4,18 @@ This is the historical ``knn_search`` algorithm moved behind the
 :class:`~repro.ann.base.NeighborIndex` interface.  The only change from
 the fixed ``_CHUNK_ROWS = 1024`` era is memory-budgeted chunk sizing:
 the per-chunk score buffer is ``chunk x N`` float64, which blows RSS at
-large N, so the chunk shrinks once N crosses the budget.  Each query
-row is scored independently, so chunk boundaries (like ``workers``)
-cannot change any result — outputs stay bitwise identical.
+large N, so the chunk shrinks once N crosses the budget.
+
+What is deterministic: a search is reproducible bit for bit for the
+same query rows, N and ``workers``.  Each query row is scored on its
+own, so a row's neighbours do not depend on the chunk it lands in or
+on the batch it is searched in, unless two candidates tie to within
+float64 rounding.  Its similarities can: the BLAS kernel behind
+``units[chunk] @ units.T`` depends on the chunk's row count, so one
+row searched alone and within a batch may differ in the last bit
+(measured: up to 4.4e-16 on 713 of 715 rows of a 5,000-sender model).
+Chunks are 1,024 rows for every ``workers`` value while N <= 8192 /
+``workers``; past that the chunk plan depends on ``workers`` too.
 """
 
 from __future__ import annotations
@@ -102,9 +111,9 @@ class ExactIndex(NeighborIndex):
     """Exhaustive cosine search — every query scores every row.
 
     Building is free (the index is the matrix), searching is
-    O(Q x N x V).  This backend defines correctness: its results are
-    bit-identical to the pre-ANN ``knn_search`` for every ``workers``
-    value and every N.
+    O(Q x N x V).  This backend defines correctness: with one worker
+    its results are bit-identical to the pre-ANN ``knn_search`` (see
+    the module docstring for what holds across batches and workers).
     """
 
     def __init__(self, units: np.ndarray) -> None:

@@ -237,13 +237,15 @@ def _select_links(
             pruned[cut] = sims[cut]
             alive &= ~cut
         if fill:
+            # A tiny corpus may offer fewer than ``fill`` candidates;
+            # the top-up takes what there is and the rest stays -1.
             order = np.argsort(-pruned, axis=1)[:, :fill]
             fills = np.where(
                 np.take_along_axis(pruned, order, axis=1) > -np.inf,
                 np.take_along_axis(ids, order, axis=1),
                 -1,
             )
-            selected[lo:hi, m : m + fill] = fills
+            selected[lo:hi, m : m + fills.shape[1]] = fills
     return selected
 
 
@@ -265,6 +267,10 @@ class HNSWIndex(NeighborIndex):
             and their (len(members), M) adjacency.
         entry: internal id the upper-layer descent starts from.
     """
+
+    #: :class:`AnnSpec` fields the graph is built from; the others
+    #: (``hnsw_ef_search``, ``recall_sample``) only steer searches.
+    BUILD_FIELDS = ("hnsw_m", "hnsw_ef_build", "seed")
 
     def __init__(
         self,
@@ -526,6 +532,7 @@ class HNSWIndex(NeighborIndex):
         prior_rows: np.ndarray,
         workers: int = 1,
         retrain_threshold: float = RETRAIN_OCCUPANCY,
+        spec: AnnSpec | None = None,
     ) -> "HNSWIndex":
         """Index for the next model generation, reusing this graph.
 
@@ -537,6 +544,9 @@ class HNSWIndex(NeighborIndex):
             retrain_threshold: occupancy ratio — total graph nodes
                 over live rows — above which the graph is rebuilt from
                 scratch instead of evolved.
+            spec: knobs of the new index (default: this index's); its
+                :attr:`BUILD_FIELDS` should match this index's (see
+                :func:`repro.ann.base.can_evolve`).
 
         Internal node ids are stable across generations: retained rows
         keep their node (and links) with the refreshed vector, evicted
@@ -546,6 +556,7 @@ class HNSWIndex(NeighborIndex):
         """
         units = np.asarray(units, dtype=np.float64)
         prior_rows = np.asarray(prior_rows, dtype=np.int64)
+        spec = spec or self.spec
         if len(prior_rows) != len(units):
             raise ValueError("prior_rows and units must align")
         n = len(units)
@@ -556,7 +567,7 @@ class HNSWIndex(NeighborIndex):
         t_old = len(self.node_row)
         if (t_old + len(fresh)) / n > retrain_threshold:
             obs.add("ann.retrains")
-            return HNSWIndex.build(units, self.spec, workers=workers)
+            return HNSWIndex.build(units, spec, workers=workers)
         node_row = np.full(t_old + len(fresh), -1, dtype=np.int64)
         node_row[self.row_node[prior_rows[kept]]] = np.flatnonzero(kept)
         node_row[t_old:] = fresh
@@ -579,7 +590,7 @@ class HNSWIndex(NeighborIndex):
         )
         index = HNSWIndex(
             units,
-            self.spec,
+            spec,
             node_row,
             levels,
             links0,

@@ -119,6 +119,10 @@ class IVFPQIndex(NeighborIndex):
             uniform across uneven subspaces.
     """
 
+    #: :class:`AnnSpec` fields the index is built from; the others
+    #: (``nprobe``, ``recall_sample``) only steer searches.
+    BUILD_FIELDS = ("nlist", "seed", "pq_m", "pq_bits")
+
     def __init__(
         self,
         units: np.ndarray,
@@ -238,6 +242,7 @@ class IVFPQIndex(NeighborIndex):
         prior_rows: np.ndarray,
         workers: int = 1,
         retrain_threshold: float = RETRAIN_IMBALANCE,
+        spec: AnnSpec | None = None,
     ) -> "IVFPQIndex":
         """Index for the next model generation, reusing this quantizer.
 
@@ -248,10 +253,12 @@ class IVFPQIndex(NeighborIndex):
         full quantizer + codebooks retrain only when list imbalance
         crosses ``retrain_threshold`` — the same evolution contract as
         :meth:`repro.ann.ivf.IVFIndex.updated`, guarded by the same
-        recall audit and health monitor.
+        recall audit and health monitor.  ``spec`` (default: this
+        index's) supplies the new index's search knobs, also as there.
         """
         units = np.asarray(units, dtype=np.float64)
         prior_rows = np.asarray(prior_rows, dtype=np.int64)
+        spec = spec or self.spec
         if len(prior_rows) != len(units):
             raise ValueError("prior_rows and units must align")
         n = len(units)
@@ -267,13 +274,13 @@ class IVFPQIndex(NeighborIndex):
         imbalance = float(counts.max()) / max(n / self.nlist, 1e-9)
         if imbalance > retrain_threshold:
             obs.add("ann.retrains")
-            return IVFPQIndex.build(units, self.spec, workers=workers)
+            return IVFPQIndex.build(units, spec, workers=workers)
         codes = self._encode(
             units32, self.centroids, assign, self.codebooks, units.shape[1]
         )
         return IVFPQIndex(
             units,
-            self.spec,
+            spec,
             self.centroids,
             assign,
             codes,

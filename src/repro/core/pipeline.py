@@ -476,17 +476,23 @@ class DarkVec:
         (e.g. :meth:`repro.ann.ivf.IVFIndex.updated`): retained senders
         keep their place, fresh senders join, evicted senders drop out,
         and a full rebuild happens only past the backend's threshold.
-        Without a live index of the configured backend that has an
-        ``updated`` method (see :func:`repro.ann.base.can_evolve`)
-        there is nothing to evolve — the next consumer rebuilds lazily
+        The evolved index takes the configured search knobs.  Without
+        a live index that the configured spec can evolve — same
+        backend, one with an ``updated`` method, built from the same
+        build-time knobs (see :func:`repro.ann.base.can_evolve`) —
+        there is nothing to evolve: the next consumer rebuilds lazily
         via :meth:`_ann_index`.
         """
         self._index = None
-        if not can_evolve(prior_index, self.config.ann_backend):
+        spec = self.config.ann_spec()
+        if not can_evolve(prior_index, spec):
             return
         prior_rows = prior.rows_of(refit.tokens)
         self._index = prior_index.updated(
-            unit_rows(refit.vectors), prior_rows, workers=self.config.workers
+            unit_rows(refit.vectors),
+            prior_rows,
+            workers=self.config.workers,
+            spec=spec,
         )
         if self.store is not None and self._embedding_hash is not None:
             self.store.save(
@@ -598,94 +604,95 @@ class DarkVec:
         )
 
         policy = self.config.health
-        # Recall audits recorded from here on belong to this update's
-        # candidate; the ann_recall monitor below reads them back.
-        ann_audit.reset()
-        drift = embedding_drift(prior, refit)
-        if drift.mean is not None:
-            obs.set_gauge("drift.cosine_displacement", drift.mean)
-        monitors = [
-            classify(
-                "drift",
-                drift.mean,
-                policy.drift_warn,
-                policy.drift_fail,
-                detail=(
-                    f"{drift.n_shared} retained senders"
-                    + ("" if drift.p95 is None else f", p95={drift.p95:.3f}")
-                ),
+        # The recall audits of the monitors' searches land in this
+        # scope, apart from other threads' searches (the serve daemon's
+        # readers search the live index); ann_recall reads them back.
+        with ann_audit.scope():
+            drift = embedding_drift(prior, refit)
+            if drift.mean is not None:
+                obs.set_gauge("drift.cosine_displacement", drift.mean)
+            monitors = [
+                classify(
+                    "drift",
+                    drift.mean,
+                    policy.drift_warn,
+                    policy.drift_fail,
+                    detail=(
+                        f"{drift.n_shared} retained senders"
+                        + ("" if drift.p95 is None else f", p95={drift.p95:.3f}")
+                    ),
+                )
+            ]
+            churn = neighborhood_churn(
+                prior,
+                refit,
+                k=policy.churn_k,
+                workers=self.config.workers,
+                spec=self.config.ann_spec(),
             )
-        ]
-        churn = neighborhood_churn(
-            prior,
-            refit,
-            k=policy.churn_k,
-            workers=self.config.workers,
-            spec=self.config.ann_spec(),
-        )
-        if churn is not None:
-            obs.set_gauge("drift.neighbor_churn", churn)
-        monitors.append(
-            classify(
-                "churn",
-                churn,
-                policy.churn_warn,
-                policy.churn_fail,
-                detail=f"k={policy.churn_k}",
-            )
-        )
-        stability = cluster_stability(
-            prior, refit, k_prime=self.config.k_prime, seed=self.config.seed
-        )
-        ari, ami = stability if stability is not None else (None, None)
-        if ari is not None:
-            obs.set_gauge("drift.cluster_ari", ari)
-            obs.set_gauge("drift.cluster_ami", ami)
-        monitors.append(
-            classify(
-                "stability",
-                ari,
-                policy.stability_warn,
-                policy.stability_fail,
-                direction="low",
-                detail="" if ami is None else f"ami={ami:.3f}",
-            )
-        )
-        profile, quality = self._monitor_ingest(new_trace, kind="update")
-        monitors.extend(quality)
-        loo = None
-        if truth is not None:
-            try:
-                loo = float(self._loo_probe(truth).accuracy)
-            except ValueError:
-                loo = None  # empty evaluation window: probe not applicable
-            baseline = None
-            if self.registry is not None:
-                history = self.registry.history("loo_accuracy")
-                baseline = history[-1] if history else None
-            drop = None if loo is None or baseline is None else baseline - loo
+            if churn is not None:
+                obs.set_gauge("drift.neighbor_churn", churn)
             monitors.append(
                 classify(
-                    "loo",
-                    drop,
-                    policy.loo_drop_warn,
-                    policy.loo_drop_fail,
-                    detail="" if loo is None else f"accuracy={loo:.4f}",
+                    "churn",
+                    churn,
+                    policy.churn_warn,
+                    policy.churn_fail,
+                    detail=f"k={policy.churn_k}",
                 )
             )
-        # Approximate-search accuracy of the candidate: the recall@k
-        # measured by the audited ANN searches of the monitors above
-        # (exact backend: no audit ran, ok with no baseline).
-        monitors.append(
-            classify(
-                "ann_recall",
-                ann_audit.last_recall(),
-                policy.recall_warn,
-                policy.recall_fail,
-                direction="low",
-                detail=f"backend={self.config.ann_backend}",
+            stability = cluster_stability(
+                prior, refit, k_prime=self.config.k_prime, seed=self.config.seed
             )
-        )
+            ari, ami = stability if stability is not None else (None, None)
+            if ari is not None:
+                obs.set_gauge("drift.cluster_ari", ari)
+                obs.set_gauge("drift.cluster_ami", ami)
+            monitors.append(
+                classify(
+                    "stability",
+                    ari,
+                    policy.stability_warn,
+                    policy.stability_fail,
+                    direction="low",
+                    detail="" if ami is None else f"ami={ami:.3f}",
+                )
+            )
+            profile, quality = self._monitor_ingest(new_trace, kind="update")
+            monitors.extend(quality)
+            loo = None
+            if truth is not None:
+                try:
+                    loo = float(self._loo_probe(truth).accuracy)
+                except ValueError:
+                    loo = None  # empty evaluation window: probe not applicable
+                baseline = None
+                if self.registry is not None:
+                    history = self.registry.history("loo_accuracy")
+                    baseline = history[-1] if history else None
+                drop = None if loo is None or baseline is None else baseline - loo
+                monitors.append(
+                    classify(
+                        "loo",
+                        drop,
+                        policy.loo_drop_warn,
+                        policy.loo_drop_fail,
+                        detail="" if loo is None else f"accuracy={loo:.4f}",
+                    )
+                )
+            # Approximate-search accuracy of the candidate: the recall@k
+            # measured by the audited ANN searches of the monitors above
+            # (exact backend: no audit ran, ok with no baseline).
+            monitors.append(
+                classify(
+                    "ann_recall",
+                    ann_audit.last_recall(),
+                    policy.recall_warn,
+                    policy.recall_fail,
+                    direction="low",
+                    detail=f"backend={self.config.ann_backend}",
+                )
+            )
         return profile, monitors, loo
 
     # ------------------------------------------------------------------

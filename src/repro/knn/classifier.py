@@ -33,8 +33,8 @@ def knn_search(
         k: neighbours per query.
         exclude_self: drop the query row from its own neighbour list.
         workers: query chunks dispatched to a thread pool (0 = all
-            cores).  Chunks write disjoint output slices, so the result
-            is bitwise identical for every ``workers`` value.
+            cores); see :meth:`repro.ann.base.NeighborIndex.search` for
+            what it can change.
         spec: backend selection; None means exact brute force.
 
     Returns:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from repro.ann import (
 from repro.ann import audit
 from repro.ann import exact as exact_mod
 from repro.ann import hnsw as hnsw_mod
+from repro.ann import ivf as ivf_mod
 from repro.ann.base import BACKENDS
 from repro.ann.ivf import RETRAIN_IMBALANCE
 from repro.core import DarkVec, DarkVecConfig
@@ -236,6 +239,138 @@ class TestIVFIndex:
         assert index.nlist == round(np.sqrt(len(units)))
 
 
+def _in_batches(index, rows, size, k, exclude_self):
+    """``index.search`` over ``rows`` in consecutive batches of ``size``."""
+    parts = [
+        index.search(rows[lo : lo + size], k, exclude_self=exclude_self)
+        for lo in range(0, len(rows), size)
+    ]
+    return (
+        np.concatenate([nb for nb, _ in parts]),
+        np.concatenate([s for _, s in parts]),
+    )
+
+
+def _gather_cut(index) -> int:
+    """Smallest batch the IVF rule scores per list instead of gathered."""
+    return next(c for c in range(1, 10**6) if not index._gathers(c))
+
+
+class TestBatchIndependence:
+    """A row's neighbours do not depend on the batch it is searched in.
+
+    The data has no duplicate vectors, so no two candidates tie.  The
+    approximate backends rescore their winners with one float64 dot
+    product per pair, so their similarities match bit for bit; the
+    exact backend's BLAS kernel depends on the chunk's row count, so
+    its similarities match to within rounding.
+    """
+
+    @staticmethod
+    def check(index, rows, k, exclude_self, sizes, atol=0.0):
+        batch = index.search(rows, k, exclude_self=exclude_self)
+        perm = np.random.default_rng(k).permutation(len(rows))
+        permuted = index.search(rows[perm], k, exclude_self=exclude_self)
+        inverse = np.argsort(perm)
+        results = [(permuted[0][inverse], permuted[1][inverse])]
+        results += [
+            _in_batches(index, rows, size, k, exclude_self) for size in sizes
+        ]
+        for nb, s in results:
+            np.testing.assert_array_equal(nb, batch[0])
+            np.testing.assert_allclose(s, batch[1], rtol=0, atol=atol)
+
+    @pytest.fixture(scope="class")
+    def units(self):
+        return clustered_units(n=600, seed=8)
+
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    @pytest.mark.parametrize("exclude_self", [True, False])
+    def test_ivf_both_scoring_paths(self, units, k, exclude_self):
+        index = IVFIndex.build(
+            units, AnnSpec(backend="ivf", nlist=16, nprobe=4, seed=1)
+        )
+        cut = _gather_cut(index)
+        assert 3 < cut - 1 and cut + 1 < len(units)
+        sizes = [1, 3, cut - 1, cut, cut + 1]
+        self.check(index, np.arange(len(units)), k, exclude_self, sizes)
+
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    def test_ivf_probing_every_list(self, units, k):
+        index = IVFIndex.build(
+            units, AnnSpec(backend="ivf", nlist=8, nprobe=12, seed=1)
+        )
+        cut = _gather_cut(index)
+        sizes = [1, 3, cut - 1, cut, cut + 1]
+        self.check(index, np.arange(len(units)), k, True, sizes)
+
+    @pytest.mark.parametrize("exclude_self", [True, False])
+    def test_ivf_lists_shorter_than_k(self, exclude_self, monkeypatch):
+        # ~10 rows a list and one probe: some queries' probed list holds
+        # fewer than k other rows, so they fall back to the exhaustive
+        # search, whose similarities are the exact backend's.
+        units = random_units(n=480, dim=16, seed=9)
+        index = IVFIndex.build(
+            units, AnnSpec(backend="ivf", nlist=50, nprobe=1, seed=1)
+        )
+        rows, k = np.arange(len(units)), 7
+        with obs.session(Telemetry()) as telemetry:
+            index.search(rows, k, exclude_self=exclude_self)
+        counters = telemetry.snapshot()["counters"]
+        fallbacks = (
+            counters["knn.distance_computations"]
+            - len(rows) * index.nlist
+            - counters["ann.candidates_scored"]
+        ) // len(units)
+        assert 0 < fallbacks < len(rows)
+        # With one probe the rule gathers every batch of these 480 rows;
+        # cut it at 100 queries so both paths serve them.
+        monkeypatch.setattr(ivf_mod, "_GATHER_QUERIES_PER_LIST", 2)
+        cut = _gather_cut(index)
+        assert cut == 100
+        sizes = [1, 3, cut - 1, cut, cut + 1]
+        self.check(index, rows, k, exclude_self, sizes, atol=1e-12)
+
+    def test_ivf_rule_cuts_between_the_paths(self, units, monkeypatch):
+        index = IVFIndex.build(
+            units, AnnSpec(backend="ivf", nlist=16, nprobe=4, seed=1)
+        )
+        served = []
+        for path in ("_top_gathered", "_top_per_list"):
+            original = getattr(IVFIndex, path)
+
+            def spy(self, rows, *args, _path=path, _original=original):
+                served.append((len(rows), _path))
+                return _original(self, rows, *args)
+
+            monkeypatch.setattr(IVFIndex, path, spy)
+        cut = _gather_cut(index)
+        for size in (1, cut - 1, cut, len(units)):
+            index.search(np.arange(size), 3)
+        assert served == [
+            (1, "_top_gathered"),
+            (cut - 1, "_top_gathered"),
+            (cut, "_top_per_list"),
+            (len(units), "_top_per_list"),
+        ]
+
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    def test_exact(self, units, k):
+        self.check(
+            ExactIndex(units), np.arange(len(units)), k, True, [1, 7], atol=1e-12
+        )
+
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    def test_ivfpq(self, units, k):
+        index = build_index(units, AnnSpec(backend="ivfpq", seed=1))
+        self.check(index, np.arange(len(units)), k, True, [1, 7])
+
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    def test_hnsw(self, units, k):
+        index = build_index(units, AnnSpec(backend="hnsw", seed=1))
+        self.check(index, np.arange(len(units)), k, True, [1, 7])
+
+
 class TestRecallAudit:
     def test_audit_records_recall(self):
         units = clustered_units(n=300, seed=3)
@@ -268,6 +403,16 @@ class TestRecallAudit:
         audit.reset()
         ExactIndex(random_units(n=50)).search(np.arange(50), 3)
         assert audit.last_recall() is None
+
+    def test_scope_keeps_other_threads_audits_out(self):
+        with audit.scope():
+            audit.record_recall(0.95, 32)
+            reader = threading.Thread(target=audit.record_recall, args=(0.0, 1))
+            reader.start()
+            reader.join()
+            assert audit.last_recall() == 0.95
+            assert audit.audited_queries() == 32
+        assert audit.last_recall() == 0.0
 
 
 class TestIncrementalUpdate:
@@ -508,6 +653,18 @@ class TestHNSWIndex:
         units = clustered_units(n=200, seed=2)
         index = build_index(units, AnnSpec(backend="hnsw"))
         assert isinstance(index, HNSWIndex)
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_tiny_corpora_build_and_search(self, n):
+        # Fewer rows than the default hnsw_m links: the link selection
+        # must make do with the candidates there are.
+        units = random_units(n=n, dim=8, seed=n)
+        index = build_index(units, AnnSpec(backend="hnsw"))
+        rows = np.arange(n)
+        nb, s = index.search(rows, 1)
+        exact_nb, exact_s = ExactIndex(units).search(rows, 1)
+        np.testing.assert_array_equal(nb, exact_nb)
+        np.testing.assert_allclose(s, exact_s, rtol=0, atol=1e-12)
 
     def test_ef_search_is_a_recall_knob(self, units, monkeypatch):
         # With a crippled seed window, a starved beam (ef_search=1)

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import repro.core.pipeline as pipeline_module
-from repro.ann import ExactIndex, IVFIndex, IVFPQIndex
+from repro.ann import ExactIndex, IVFIndex, IVFPQIndex, audit
 from repro.core import DarkVec, DarkVecConfig
 from repro.core.pipeline import NotFittedError
 from repro.corpus.builder import CorpusBuilder
@@ -333,6 +334,65 @@ class TestIndexEvolution:
         assert len(builds) == 1
         assert isinstance(darkvec._index, other_class)
 
+    @pytest.mark.parametrize(
+        "backend, index_class", [("ivf", IVFIndex), ("ivfpq", IVFPQIndex)]
+    )
+    def test_evolved_index_takes_the_configured_search_knobs(
+        self, split_trace, monkeypatch, backend, index_class
+    ):
+        head, tail = split_trace
+        config = DarkVecConfig(epochs=2, seed=3, ann_backend=backend)
+        darkvec = DarkVec(config).fit(head)
+        prior = darkvec._ann_index()
+        assert prior.spec.nprobe == 8
+        darkvec.config = replace(
+            darkvec.config, ann_nprobe=16, ann_recall_sample=5
+        )
+        evolved = _record_calls(monkeypatch, index_class, "updated")
+        builds = _record_calls(monkeypatch, pipeline_module, "build_index")
+        darkvec.update(tail)
+        assert [call[0] for call in evolved] == [prior]
+        assert builds == []
+        assert darkvec._index.spec == darkvec.config.ann_spec()
+
+    def test_stored_evolved_index_matches_its_fingerprint(
+        self, split_trace, tmp_path
+    ):
+        head, tail = split_trace
+        config = DarkVecConfig(
+            epochs=2, seed=3, ann_backend="ivf", cache_dir=tmp_path
+        )
+        darkvec = DarkVec(config).fit(head)
+        darkvec._ann_index()
+        darkvec.config = replace(darkvec.config, ann_nprobe=16)
+        darkvec.update(tail)
+        stored, _ = darkvec.store.load(
+            "ann-index", darkvec._ann_fingerprint(), IVF_INDEX_CODEC
+        )
+        assert stored.spec.nprobe == darkvec._index.spec.nprobe == 16
+        rows = np.arange(len(stored))
+        for got, want in zip(
+            stored.search(rows, 7), darkvec._index.search(rows, 7)
+        ):
+            np.testing.assert_array_equal(got, want)
+
+    def test_changed_build_knob_is_rebuilt_not_evolved(
+        self, split_trace, monkeypatch
+    ):
+        head, tail = split_trace
+        config = DarkVecConfig(epochs=2, seed=3, ann_backend="ivf")
+        darkvec = DarkVec(config).fit(head)
+        darkvec._ann_index()
+        darkvec.config = replace(darkvec.config, ann_nlist=5)
+        evolved = _record_calls(monkeypatch, IVFIndex, "updated")
+        builds = _record_calls(monkeypatch, pipeline_module, "build_index")
+        darkvec.update(tail)
+        assert evolved == [] and builds == []
+        assert darkvec._index is None
+        darkvec.cluster()  # the next search builds with the new nlist
+        assert len(builds) == 1
+        assert darkvec._index.nlist == 5
+
     def test_exact_never_evolves(self, split_trace, monkeypatch):
         head, tail = split_trace
         darkvec = DarkVec(DarkVecConfig(epochs=2, seed=3)).fit(head)
@@ -343,6 +403,42 @@ class TestIndexEvolution:
         darkvec.cluster()
         assert len(builds) == 1
         assert isinstance(darkvec._index, ExactIndex)
+
+
+class TestRecallMonitor:
+    """The ``ann_recall`` verdict reads only the candidate's own audits."""
+
+    @staticmethod
+    def _ann_recall(darkvec):
+        return next(
+            m for m in darkvec.last_health.monitors if m.name == "ann_recall"
+        )
+
+    def test_other_threads_audits_do_not_reach_the_verdict(
+        self, split_trace, monkeypatch
+    ):
+        head, tail = split_trace
+        config = DarkVecConfig(epochs=2, seed=3, ann_backend="ivf")
+        clean = DarkVec(config).fit(head).update(tail, health_gate=True)
+        expected = self._ann_recall(clean)
+        assert expected.value is not None
+
+        # A reader thread records a one-query audit of another index
+        # between the monitors' churn search and the verdict.
+        monitor_ingest = DarkVec._monitor_ingest
+
+        def with_reader_audit(darkvec, trace, kind):
+            reader = threading.Thread(
+                target=audit.record_recall, args=(0.0, 1)
+            )
+            reader.start()
+            reader.join()
+            return monitor_ingest(darkvec, trace, kind)
+
+        monkeypatch.setattr(DarkVec, "_monitor_ingest", with_reader_audit)
+        disturbed = DarkVec(config).fit(head).update(tail, health_gate=True)
+        assert self._ann_recall(disturbed) == expected
+        assert audit.last_recall() == 0.0  # the reader's own record
 
 
 class TestEmptyEvaluationWindow:
