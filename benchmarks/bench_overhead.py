@@ -10,8 +10,8 @@ written to one JSON (``BENCH_overhead.json``):
    recorder installed, in nanoseconds per call.
 2. **Instrumentation density** — an *enabled* run of the full
    pipeline on a synthetic trace counts how many recorder calls the
-   hot paths actually make (counter increments, sketch/histogram
-   observations, spans).
+   hot paths actually make (counter increments, sketch observations,
+   spans).
 3. **The bound** — the same pipeline run with telemetry disabled is
    timed; the asserted invariant is
 

@@ -1094,7 +1094,7 @@ def _cmd_runs(args) -> int:
             if sketches:
                 print(
                     obs.format_quantile_table(
-                        sketches, title="Latency quantiles (sketch)"
+                        sketches, title="Distribution quantiles (sketch)"
                     )
                 )
             else:
@@ -1471,7 +1471,7 @@ def main(argv: list[str] | None = None) -> int:
             print()
             print(
                 obs.format_quantile_table(
-                    sketches, title="Latency quantiles (sketch)"
+                    sketches, title="Distribution quantiles (sketch)"
                 )
             )
     if metrics_out is not None:

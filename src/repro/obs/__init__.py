@@ -5,7 +5,7 @@ This package is the single instrument panel of the reproduction:
 * **Spans** (:func:`span`) form a trace tree recording wall time, peak
   ``tracemalloc`` memory and custom attributes per pipeline region.
 * **Metrics** (:func:`add` / :func:`set_gauge` / :func:`observe`) are
-  counters, gauges and fixed-bucket histograms declared centrally in
+  counters, gauges and quantile sketches declared centrally in
   :data:`~repro.obs.metrics.METRICS`; worker-task writes are recorded
   into task-local registries and merged back through the
   :class:`~repro.parallel.pool.WorkerPool`.
@@ -48,7 +48,7 @@ from repro.obs.health import (
     MonitorResult,
     classify,
 )
-from repro.obs.metrics import METRICS, Histogram, MetricSpec, MetricsRegistry
+from repro.obs.metrics import METRICS, MetricSpec, MetricsRegistry
 from repro.obs.proc import (
     rss_bytes,
     rss_peak_bytes,
@@ -92,7 +92,6 @@ __all__ = [
     "DriftReport",
     "HealthPolicy",
     "HealthReport",
-    "Histogram",
     "MetricSpec",
     "MetricsRegistry",
     "MonitorResult",

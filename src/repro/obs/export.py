@@ -2,8 +2,8 @@
 
 One telemetry session flattens to a stream of self-describing NDJSON
 records — ``span`` records (one per node of the trace tree, with a
-stable ``path``) followed by ``counter``/``gauge``/``histogram``
-records — written through the generic NDJSON helpers in
+stable ``path``) followed by ``counter``/``gauge``/``sketch`` records —
+written through the generic NDJSON helpers in
 :mod:`repro.io.ndjson`, so ``.gz`` paths compress transparently.
 :func:`counters_from_records` inverts the counter part for cross-run
 comparisons (e.g. asserting that ``workers=1`` and ``workers=2`` runs
@@ -64,16 +64,7 @@ def telemetry_records(telemetry: Telemetry) -> list[dict]:
                 "deterministic": METRICS[name].deterministic,
             }
         )
-    for name, data in sorted(snapshot["histograms"].items()):
-        records.append(
-            {
-                "type": "histogram",
-                "name": name,
-                "deterministic": METRICS[name].deterministic,
-                **data,
-            }
-        )
-    for name, data in sorted(snapshot.get("sketches", {}).items()):
+    for name, data in sorted(snapshot["sketches"].items()):
         records.append(
             {
                 "type": "sketch",

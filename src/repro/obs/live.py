@@ -138,9 +138,8 @@ def build_frame(telemetry: recorder.Telemetry, seq: int) -> dict:
 def prometheus_text(snapshot: dict) -> str:
     """Render a registry snapshot in Prometheus text-exposition format.
 
-    Metric names map ``a.b_c`` → ``repro_a_b_c``; histograms become the
-    native histogram type with cumulative ``_bucket`` series, sketches
-    become summaries with ``quantile`` labels.
+    Metric names map ``a.b_c`` → ``repro_a_b_c``; sketches become
+    summaries with ``quantile`` labels.
     """
     lines: list[str] = []
 
@@ -156,16 +155,6 @@ def prometheus_text(snapshot: dict) -> str:
         emit(name, "counter", [f"{{metric}} {value}"])
     for name, value in sorted(snapshot.get("gauges", {}).items()):
         emit(name, "gauge", [f"{{metric}} {value}"])
-    for name, data in sorted(snapshot.get("histograms", {}).items()):
-        body = []
-        cumulative = 0
-        for edge, count in zip(data["edges"], data["counts"]):
-            cumulative += int(count)
-            body.append(f'{{metric}}_bucket{{{{le="{edge}"}}}} {cumulative}')
-        body.append(f'{{metric}}_bucket{{{{le="+Inf"}}}} {data["total"]}')
-        body.append(f'{{metric}}_sum {data["sum"]}')
-        body.append(f'{{metric}}_count {data["total"]}')
-        emit(name, "histogram", body)
     for name, data in sorted(snapshot.get("sketches", {}).items()):
         summary = summarize(data)
         body = []
@@ -512,18 +501,20 @@ def render_frame(
 
     sketches = frame.get("sketches", {})
     if sketches:
-        lines.append("latency (sketch quantiles)")
+        lines.append("distributions (sketch quantiles)")
         lines.append(
             f"  {'metric':<28} {'count':>8} {'p50':>10} {'p95':>10} {'p99':>10}"
         )
         for name in sorted(sketches):
             s = sketches[name]
-            lines.append(
-                f"  {name:<28} {s.get('count', 0):>8} "
-                f"{_fmt_seconds(s['p50']) if s.get('p50') is not None else '-':>10} "
-                f"{_fmt_seconds(s['p95']) if s.get('p95') is not None else '-':>10} "
-                f"{_fmt_seconds(s['p99']) if s.get('p99') is not None else '-':>10}"
+            spec = METRICS.get(name)
+            seconds = spec is not None and spec.unit == "seconds"
+            fmt = _fmt_seconds if seconds else "{:.6g}".format
+            cells = " ".join(
+                f"{'-' if s.get(q) is None else fmt(s[q]):>10}"
+                for q in ("p50", "p95", "p99")
             )
+            lines.append(f"  {name:<28} {s.get('count', 0):>8} {cells}")
         lines.append("")
 
     workers = frame.get("workers", [])

@@ -1,4 +1,4 @@
-"""Metric registry: counters, gauges, histograms and quantile sketches.
+"""Metric registry: counters, gauges and quantile sketches.
 
 Every metric the pipeline can emit is declared up front in
 :data:`METRICS`; recording to an undeclared name raises immediately,
@@ -14,7 +14,6 @@ aggregate without locking the hot path (see
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,14 +26,13 @@ class MetricSpec:
     """Declaration of one metric.
 
     Attributes:
-        kind: ``"counter"``, ``"gauge"``, ``"histogram"`` or
-            ``"sketch"`` (streaming quantiles, see
+        kind: ``"counter"``, ``"gauge"`` or ``"sketch"`` (streaming
+            quantiles of a distribution, see
             :class:`repro.obs.sketch.QuantileSketch`).
         description: one-line meaning, surfaced in the README table.
-        unit: unit of the recorded values (informational).
-        buckets: upper-inclusive bucket edges (histograms only); values
-            above the last edge land in an overflow bucket.  Sketches
-            need no edges — that is the point of them.
+        unit: unit of the recorded values; ``repro top`` renders
+            ``"seconds"`` sketches as durations, any other unit as
+            plain numbers.
         deterministic: True when the aggregated value is identical for
             every ``workers`` setting of the same run (timing aside);
             False for values that depend on the RNG streams of the
@@ -44,14 +42,11 @@ class MetricSpec:
     kind: str
     description: str
     unit: str = ""
-    buckets: tuple[float, ...] | None = None
     deterministic: bool = True
 
     def __post_init__(self) -> None:
-        if self.kind not in ("counter", "gauge", "histogram", "sketch"):
+        if self.kind not in ("counter", "gauge", "sketch"):
             raise ValueError(f"unknown metric kind {self.kind!r}")
-        if (self.kind == "histogram") != (self.buckets is not None):
-            raise ValueError("histograms (and only histograms) need buckets")
 
 
 #: Every metric name the pipeline emits, with its kind and meaning.
@@ -66,10 +61,9 @@ METRICS: dict[str, MetricSpec] = {
         "counter", "tokens (packet sender occurrences) in the corpus"
     ),
     "corpus.sentence_length": MetricSpec(
-        "histogram",
+        "sketch",
         "distribution of corpus sentence lengths",
         unit="tokens",
-        buckets=(2, 4, 8, 16, 32, 64, 128, 256, 512, 1024),
     ),
     "train.vocab_size": MetricSpec(
         "gauge", "vocabulary size (senders embedded) of the last fit"
@@ -89,10 +83,9 @@ METRICS: dict[str, MetricSpec] = {
         "counter", "SGD batches executed", deterministic=False
     ),
     "train.batch_pairs": MetricSpec(
-        "histogram",
+        "sketch",
         "distribution of SGD batch sizes",
         unit="pairs",
-        buckets=(256, 1024, 4096, 16384, 65536),
         deterministic=False,
     ),
     "train.negative_draws": MetricSpec(
@@ -117,17 +110,15 @@ METRICS: dict[str, MetricSpec] = {
         "counter", "cached artifacts rejected as corrupted or stale-format"
     ),
     "ingest.sender_packets": MetricSpec(
-        "histogram",
+        "sketch",
         "distribution of packets per observed sender at ingest",
         unit="packets",
-        buckets=(1, 2, 5, 10, 20, 50, 100, 250, 1000, 10000),
     ),
     "knn.queries": MetricSpec("counter", "k-NN query points searched"),
     "knn.neighbor_distance": MetricSpec(
-        "histogram",
+        "sketch",
         "distribution of cosine distances to returned k-NN neighbors",
         unit="distance",
-        buckets=(0.01, 0.02, 0.05, 0.1, 0.2, 0.35, 0.5, 0.75, 1.0, 1.5),
         deterministic=False,
     ),
     "knn.distance_computations": MetricSpec(
@@ -351,69 +342,6 @@ def _spec_for(name: str, kind: str) -> MetricSpec:
     return spec
 
 
-class Histogram:
-    """Fixed-bucket histogram with upper-inclusive edges.
-
-    A value ``v`` lands in the first bucket whose edge is ``>= v``;
-    values above the last edge land in the trailing overflow bucket.
-    Tracks the observation count and sum alongside the bucket counts,
-    so means survive snapshot/merge.
-    """
-
-    __slots__ = ("edges", "_edge_list", "counts", "total", "sum")
-
-    def __init__(self, edges: tuple[float, ...]) -> None:
-        self.edges = np.asarray(edges, dtype=np.float64)
-        if len(self.edges) == 0 or np.any(np.diff(self.edges) <= 0):
-            raise ValueError("bucket edges must be strictly increasing")
-        # Plain-list mirror of the edges: bisect on a list is much
-        # cheaper than building a 1-element ndarray per observation.
-        self._edge_list = self.edges.tolist()
-        self.counts = np.zeros(len(self.edges) + 1, dtype=np.int64)
-        self.total = 0
-        self.sum = 0.0
-
-    def observe(self, value: float) -> None:
-        """Record one observation (scalar fast path, no allocation)."""
-        value = float(value)
-        # bisect_left == searchsorted(side="left"): first edge >= value.
-        self.counts[bisect.bisect_left(self._edge_list, value)] += 1
-        self.total += 1
-        self.sum += value
-
-    def observe_many(self, values: np.ndarray) -> None:
-        """Record a batch of observations in one vectorized pass."""
-        values = np.asarray(values, dtype=np.float64)
-        if values.size == 0:
-            return
-        idx = np.searchsorted(self.edges, values, side="left")
-        self.counts += np.bincount(idx, minlength=len(self.counts))
-        self.total += int(values.size)
-        self.sum += float(values.sum())
-
-    @property
-    def mean(self) -> float:
-        """Mean of all observations (0.0 when empty)."""
-        return self.sum / self.total if self.total else 0.0
-
-    def to_dict(self) -> dict:
-        """Plain-dict form for snapshots and NDJSON export."""
-        return {
-            "edges": self.edges.tolist(),
-            "counts": self.counts.tolist(),
-            "total": self.total,
-            "sum": self.sum,
-        }
-
-    def merge_dict(self, data: dict) -> None:
-        """Fold a :meth:`to_dict` snapshot into this histogram."""
-        if list(data["edges"]) != self.edges.tolist():
-            raise ValueError("cannot merge histograms with different edges")
-        self.counts += np.asarray(data["counts"], dtype=np.int64)
-        self.total += int(data["total"])
-        self.sum += float(data["sum"])
-
-
 class MetricsRegistry:
     """One process- or task-local set of metric values.
 
@@ -425,7 +353,6 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self.counters: dict[str, int | float] = {}
         self.gauges: dict[str, float] = {}
-        self.histograms: dict[str, Histogram] = {}
         self.sketches: dict[str, QuantileSketch] = {}
 
     def add(self, name: str, value: int | float = 1) -> None:
@@ -439,20 +366,12 @@ class MetricsRegistry:
         self.gauges[name] = value
 
     def observe(self, name: str, value: float) -> None:
-        """Record one observation into histogram or sketch ``name``."""
-        self._series(name).observe(value)
+        """Record one observation into sketch ``name``."""
+        self._sketch(name).observe(value)
 
     def observe_many(self, name: str, values: np.ndarray) -> None:
-        """Record a batch of observations into histogram or sketch."""
-        self._series(name).observe_many(values)
-
-    def _histogram(self, name: str) -> Histogram:
-        hist = self.histograms.get(name)
-        if hist is None:
-            spec = _spec_for(name, "histogram")
-            assert spec.buckets is not None
-            hist = self.histograms[name] = Histogram(spec.buckets)
-        return hist
+        """Record a batch of observations into sketch ``name``."""
+        self._sketch(name).observe_many(values)
 
     def _sketch(self, name: str) -> QuantileSketch:
         sketch = self.sketches.get(name)
@@ -461,29 +380,11 @@ class MetricsRegistry:
             sketch = self.sketches[name] = QuantileSketch()
         return sketch
 
-    def _series(self, name: str) -> Histogram | QuantileSketch:
-        """The observable series for ``name``, dispatched by kind."""
-        series = self.histograms.get(name) or self.sketches.get(name)
-        if series is not None:
-            return series
-        spec = METRICS.get(name)
-        if spec is None:
-            raise ValueError(
-                f"unknown metric {name!r}; declare it in "
-                "repro.obs.metrics.METRICS"
-            )
-        if spec.kind == "sketch":
-            return self._sketch(name)
-        return self._histogram(name)
-
     def snapshot(self) -> dict:
         """Plain-dict copy of every recorded value."""
         return {
             "counters": dict(self.counters),
             "gauges": dict(self.gauges),
-            "histograms": {
-                name: hist.to_dict() for name, hist in self.histograms.items()
-            },
             "sketches": {
                 name: sketch.to_dict()
                 for name, sketch in self.sketches.items()
@@ -493,15 +394,12 @@ class MetricsRegistry:
     def merge(self, snapshot: dict) -> None:
         """Fold a :meth:`snapshot` into this registry.
 
-        Counters, histograms and sketches accumulate; gauges take the
-        incoming value (last write wins, as for direct
-        :meth:`set_gauge` calls).
+        Counters and sketches accumulate; gauges take the incoming value
+        (last write wins, as for direct :meth:`set_gauge` calls).
         """
         for name, value in snapshot.get("counters", {}).items():
             self.add(name, value)
         for name, value in snapshot.get("gauges", {}).items():
             self.set_gauge(name, value)
-        for name, data in snapshot.get("histograms", {}).items():
-            self._histogram(name).merge_dict(data)
         for name, data in snapshot.get("sketches", {}).items():
             self._sketch(name).merge_dict(data)

@@ -99,10 +99,10 @@ class NullRecorder:
         """Discard a gauge update."""
 
     def observe(self, name: str, value: float) -> None:
-        """Discard a histogram observation."""
+        """Discard a sketch observation."""
 
     def observe_many(self, name: str, values: np.ndarray) -> None:
-        """Discard a batch of histogram observations."""
+        """Discard a batch of sketch observations."""
 
 
 class SpanHandle:
@@ -228,7 +228,7 @@ class Telemetry:
                 self.registry.set_gauge(name, value)
 
     def observe(self, name: str, value: float) -> None:
-        """Record one histogram observation."""
+        """Record one sketch observation."""
         registry = getattr(self._tls, "registry", None)
         if registry is not None:
             registry.observe(name, value)
@@ -237,7 +237,7 @@ class Telemetry:
                 self.registry.observe(name, value)
 
     def observe_many(self, name: str, values: np.ndarray) -> None:
-        """Record a batch of histogram observations."""
+        """Record a batch of sketch observations."""
         registry = getattr(self._tls, "registry", None)
         if registry is not None:
             registry.observe_many(name, values)
@@ -415,12 +415,12 @@ def set_gauge(name: str, value: float) -> None:
 
 
 def observe(name: str, value: float) -> None:
-    """Record a histogram observation on the installed recorder."""
+    """Record a sketch observation on the installed recorder."""
     _CURRENT.observe(name, value)
 
 
 def observe_many(name: str, values: np.ndarray) -> None:
-    """Record a batch of histogram observations."""
+    """Record a batch of sketch observations."""
     _CURRENT.observe_many(name, values)
 
 

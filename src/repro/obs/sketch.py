@@ -1,12 +1,12 @@
 """Mergeable streaming quantile sketch (KLL-style, pure numpy).
 
-Fixed-bucket histograms cannot report an accurate p99 across six
-orders of latency magnitude — the edges would have to be known up
-front.  :class:`QuantileSketch` is the fourth metric kind of the
-registry (:mod:`repro.obs.metrics`): a bounded-memory compactor
-hierarchy in the style of the KLL sketch [Karnin, Lang, Liberty 2016]
-that supports streaming inserts, snapshot/merge (the same worker-scope
-machinery counters and histograms use), and ``p50/p95/p99`` accessors.
+:class:`QuantileSketch` is the registry's one distribution kind
+(:mod:`repro.obs.metrics`): latencies, sentence lengths, packets per
+sender, SGD batch sizes and neighbour distances all record into it, and
+none of them needs bucket edges known up front.  It is a bounded-memory
+compactor hierarchy in the style of the KLL sketch [Karnin, Lang,
+Liberty 2016] that supports streaming inserts, snapshot/merge (the same
+worker-scope machinery counters use), and ``p50/p95/p99`` accessors.
 
 Level ``h`` holds raw values each representing ``2**h`` observations.
 When a level overflows its capacity ``k``, it is sorted and every
@@ -204,7 +204,7 @@ class QuantileSketch:
         """Fold a :meth:`to_dict` snapshot into this sketch.
 
         Levels concatenate weight-for-weight, then any overflowing
-        level compacts; capacities must match (like histogram edges).
+        level compacts; capacities must match.
         """
         if int(data["k"]) != self.k:
             raise ValueError("cannot merge sketches with different capacities")

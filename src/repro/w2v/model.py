@@ -1,12 +1,31 @@
 """Skip-gram-with-negative-sampling training (mini-batched numpy SGD).
 
-This is the algorithm gensim runs for ``Word2Vec(sg=1, negative=k)``:
-for each (center, context) pair drawn from dynamic windows, maximise
-``log s(u_ctx . v_c) + sum_neg log s(-u_neg . v_c)`` by SGD with a
-linearly decaying learning rate.  The SGD itself runs in
-:class:`repro.parallel.trainer.ShardedTrainer`; this module prepares the
-vocabulary, the initial (or warm-started) weights and the learning-rate
-schedule, and keeps the sequential loop of the CBOW ablation.
+The objective is the one gensim optimises for ``Word2Vec(sg=1,
+negative=k)``: for each (center, context) pair drawn from dynamic
+windows, maximise ``log s(u_ctx . v_c) + sum_neg log s(-u_neg . v_c)``
+with a linearly decaying learning rate.  The optimiser is not gensim's
+per-pair SGD loop.  :class:`repro.parallel.trainer.ShardedTrainer`
+runs it, and differs from that loop in these ways:
+
+* it takes batched steps of up to ``batch_pairs`` raw pairs (fewer on
+  small vocabularies, see :meth:`Word2Vec._batch_pairs`);
+* it deduplicates each batch into unique pairs whose gradients are
+  scaled by their multiplicity and all computed from the same stale
+  vectors;
+* one negative draw is shared by up to
+  :data:`repro.parallel.sgd.SHARED_NEGATIVES` = 64 unique pairs;
+* raw pairs are shuffled only within
+  :data:`repro.parallel.trainer.SHUFFLE_BATCHES` = 2 batches;
+* each epoch is cut into shards of at most
+  :data:`repro.parallel.trainer.PAIR_BUDGET` = 2^18 expected pairs;
+* shards train concurrently without locks (Hogwild) when
+  ``workers > 1``;
+* both weight matrices' row norms are capped at ``max_norm`` after
+  every batch.
+
+This module prepares the vocabulary, the initial (or warm-started)
+weights and the learning-rate schedule, and keeps the sequential loop
+of the CBOW ablation.
 """
 
 from __future__ import annotations

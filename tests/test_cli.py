@@ -648,6 +648,52 @@ class TestRunRegistryCli:
         assert "verdict" in out
         assert "drift" in out
 
+    def test_records_with_histograms_section_still_read(
+        self, registry_workspace, tmp_path, capsys
+    ):
+        # Older records keep four distributions as bucketed histograms
+        # in a `histograms` section of their metric snapshot.
+        from repro.io.ndjson import read_ndjson, write_ndjson
+
+        _, cache_dir, _, _ = registry_workspace
+        records = read_ndjson(cache_dir / "registry" / "runs.ndjson")
+        moved = (
+            "ingest.sender_packets",
+            "corpus.sentence_length",
+            "train.batch_pairs",
+            "knn.neighbor_distance",
+        )
+        for record in records:
+            metrics = record.get("metrics")
+            if not metrics:
+                continue
+            metrics["histograms"] = {
+                name: {
+                    "edges": [1.0, 10.0],
+                    "counts": [data["count"], 0, 0],
+                    "total": data["count"],
+                    "sum": data["sum"],
+                }
+                for name in moved
+                if (data := metrics["sketches"].pop(name, None)) is not None
+            }
+        assert any((r.get("metrics") or {}).get("histograms") for r in records)
+        registry = tmp_path / "registry"
+        registry.mkdir()
+        write_ndjson(records, registry / "runs.ndjson")
+        flags = ["--registry", str(registry)]
+
+        assert main(["runs", "list", *flags]) == 0
+        assert "run-0002" in capsys.readouterr().out
+        assert main(["runs", "show", "run-0002", "--quantiles", *flags]) == 0
+        out = capsys.readouterr().out
+        assert "Distribution quantiles" in out
+        assert "knn.search_seconds" in out
+        assert main(["runs", "compare", "--last", *flags]) == 0
+        assert "corpus.sentences" in capsys.readouterr().out
+        assert main(["health", *flags]) == 0
+        assert "drift" in capsys.readouterr().out
+
     def test_runs_without_registry_fails(self, tmp_path, capsys):
         rc = main(["runs", "list", "--cache-dir", str(tmp_path / "nope")])
         assert rc in (0, 2)  # empty registry is not an error, missing dir is

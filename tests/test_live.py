@@ -266,8 +266,9 @@ class TestTelemetrySink:
         text = prometheus_text(telemetry.snapshot())
         assert "# TYPE repro_trace_packets counter" in text
         assert "# TYPE repro_graph_nodes gauge" in text
-        assert "# TYPE repro_corpus_sentence_length histogram" in text
-        assert 'repro_corpus_sentence_length_bucket{le="+Inf"} 1' in text
+        assert "# TYPE repro_corpus_sentence_length summary" in text
+        assert 'repro_corpus_sentence_length{quantile="0.5"} 4.0' in text
+        assert "histogram" not in text
         assert "# TYPE repro_stage_seconds summary" in text
         assert 'repro_stage_seconds{quantile="0.5"} 1.25' in text
         assert "repro_stage_seconds_count 1" in text
@@ -329,6 +330,20 @@ class TestRenderFrame:
         prev["counters"] = {"train.pairs": 250}
         text = render_frame(frame, prev=prev)
         assert "/s" in text
+
+    def test_render_formats_sketches_by_unit(self):
+        telemetry = Telemetry()
+        with obs.session(telemetry):
+            obs.observe("ann.candidate_set_size", 80)
+            obs.observe("knn.search_seconds", 0.0004)
+        text = render_frame(build_frame(telemetry, seq=0))
+        rows = {
+            line.split()[0]: line.split()[1:]
+            for line in text.splitlines()
+            if line.startswith("  ") and len(line.split()) == 5
+        }
+        assert rows["ann.candidate_set_size"] == ["1", "80", "80", "80"]
+        assert rows["knn.search_seconds"] == ["1", "400us", "400us", "400us"]
 
     def test_render_worker_table(self):
         frame = self._frame()

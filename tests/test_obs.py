@@ -13,7 +13,6 @@ from repro.obs import recorder
 from repro.io.ndjson import read_ndjson, write_ndjson
 from repro.obs import (
     METRICS,
-    Histogram,
     MetricSpec,
     MetricsRegistry,
     Telemetry,
@@ -150,62 +149,8 @@ class TestMetrics:
     def test_metric_spec_validation(self):
         with pytest.raises(ValueError, match="kind"):
             MetricSpec("bogus", "x")
-        with pytest.raises(ValueError, match="buckets"):
+        with pytest.raises(ValueError, match="unknown metric kind"):
             MetricSpec("histogram", "x")
-        with pytest.raises(ValueError, match="buckets"):
-            MetricSpec("counter", "x", buckets=(1, 2))
-
-
-class TestHistogram:
-    def test_bucket_edges_upper_inclusive(self):
-        hist = Histogram((2, 4, 8))
-        hist.observe_many(np.array([1, 2, 3, 4, 5, 8, 9, 100]))
-        # v <= 2 -> bucket 0; 2 < v <= 4 -> bucket 1; 4 < v <= 8 ->
-        # bucket 2; v > 8 -> overflow.
-        assert hist.counts.tolist() == [2, 2, 2, 2]
-        assert hist.total == 8
-        assert hist.sum == 132.0
-
-    def test_mean(self):
-        hist = Histogram((10,))
-        assert hist.mean == 0.0
-        hist.observe(4)
-        hist.observe(6)
-        assert hist.mean == 5.0
-
-    def test_bad_edges_raise(self):
-        with pytest.raises(ValueError):
-            Histogram(())
-        with pytest.raises(ValueError):
-            Histogram((5, 5))
-
-    def test_merge(self):
-        a, b = Histogram((2, 4)), Histogram((2, 4))
-        a.observe(1)
-        b.observe(3)
-        b.observe(100)
-        a.merge_dict(b.to_dict())
-        assert a.counts.tolist() == [1, 1, 1]
-        assert a.total == 3
-
-    def test_merge_mismatched_edges_raises(self):
-        a, b = Histogram((2, 4)), Histogram((2, 8))
-        with pytest.raises(ValueError, match="different edges"):
-            a.merge_dict(b.to_dict())
-
-    def test_scalar_observe_matches_observe_many(self):
-        # The scalar fast path (bisect on a plain list) must land every
-        # value in the same bucket as the vectorised searchsorted path,
-        # including the upper-inclusive edge cases.
-        edges = (0.001, 0.01, 0.1, 1.0, 10.0)
-        values = [0.0005, 0.001, 0.0011, 0.01, 0.05, 0.1, 1.0, 5.0, 10.0, 99.0]
-        scalar, vectored = Histogram(edges), Histogram(edges)
-        for value in values:
-            scalar.observe(value)
-        vectored.observe_many(np.array(values))
-        assert scalar.counts.tolist() == vectored.counts.tolist()
-        assert scalar.total == vectored.total
-        assert scalar.sum == pytest.approx(vectored.sum)
 
 
 class TestWorkerPoolAggregation:
@@ -226,7 +171,7 @@ class TestWorkerPoolAggregation:
                 )
         snapshot = telemetry.snapshot()
         assert snapshot["counters"]["trace.packets"] == 55
-        assert snapshot["histograms"]["corpus.sentence_length"]["total"] == 10
+        assert snapshot["sketches"]["corpus.sentence_length"]["count"] == 10
 
     def test_map_merges_task_metrics(self):
         telemetry = Telemetry()
@@ -307,7 +252,7 @@ class TestNdjsonExport:
     def test_records_structure(self):
         records = telemetry_records(self._session())
         kinds = [record["type"] for record in records]
-        assert kinds == ["span", "counter", "gauge", "histogram"]
+        assert kinds == ["span", "counter", "gauge", "sketch"]
         span = records[0]
         assert span["path"] == "pipeline.fit" and span["depth"] == 0
         counter = records[1]
@@ -470,12 +415,7 @@ class TestStageTable:
 class TestMetricDeclarations:
     def test_all_spec_kinds_valid(self):
         for name, spec in METRICS.items():
-            assert spec.kind in (
-                "counter",
-                "gauge",
-                "histogram",
-                "sketch",
-            ), name
+            assert spec.kind in ("counter", "gauge", "sketch"), name
             assert spec.description, name
 
     def test_deterministic_flags(self):
@@ -494,14 +434,14 @@ class TestUpdateMetricsDeterminism:
     worker task scopes."""
 
     @pytest.fixture(scope="class")
-    def snapshots(self, small_bundle, tmp_path_factory):
+    def sessions(self, small_bundle, tmp_path_factory):
         from repro.core import DarkVec, DarkVecConfig
 
         trace = small_bundle.trace
         cut = trace.start_time + 3 * 86400.0
         head = trace.between(trace.start_time, cut)
         tail = trace.between(cut, cut + 86400.0)
-        snapshots = {}
+        sessions = {}
         for workers in (1, 2):
             config = DarkVecConfig(
                 service="domain",
@@ -515,8 +455,12 @@ class TestUpdateMetricsDeterminism:
             with obs.session(telemetry):
                 darkvec = DarkVec(config).fit(head)
                 darkvec.update(tail)
-            snapshots[workers] = telemetry.snapshot()
-        return snapshots
+            sessions[workers] = telemetry
+        return sessions
+
+    @pytest.fixture(scope="class")
+    def snapshots(self, sessions):
+        return {workers: t.snapshot() for workers, t in sessions.items()}
 
     def test_deterministic_counters_agree(self, snapshots):
         names = set(snapshots[1]["counters"]) | set(snapshots[2]["counters"])
@@ -536,15 +480,41 @@ class TestUpdateMetricsDeterminism:
                 snapshots[2]["gauges"].get(name)
             ), name
 
-    def test_deterministic_histograms_agree(self, snapshots):
-        names = set(snapshots[1]["histograms"]) | set(snapshots[2]["histograms"])
-        for name in names:
-            if not METRICS[name].deterministic:
-                continue
+    def test_deterministic_sketches_agree(self, snapshots):
+        names = set(snapshots[1]["sketches"]) | set(snapshots[2]["sketches"])
+        deterministic = [name for name in names if METRICS[name].deterministic]
+        assert "corpus.sentence_length" in deterministic
+        assert "ingest.sender_packets" in deterministic
+        for name in deterministic:
+            # The whole state, compactor levels included, not only the
+            # summary quantiles.
             assert (
-                snapshots[1]["histograms"][name]
-                == snapshots[2]["histograms"][name]
+                snapshots[1]["sketches"][name] == snapshots[2]["sketches"][name]
             ), name
+
+    def test_distribution_counts_match_counters(self, snapshots):
+        for snapshot in snapshots.values():
+            sketches, counters = snapshot["sketches"], snapshot["counters"]
+            assert (
+                sketches["corpus.sentence_length"]["count"]
+                == counters["corpus.sentences"]
+            )
+            assert (
+                sketches["train.batch_pairs"]["count"]
+                == counters["train.batches"]
+            )
+
+    def test_frame_lists_distributions(self, sessions):
+        from repro.obs.live import build_frame
+
+        frame = build_frame(sessions[1], seq=0)
+        for name in (
+            "ingest.sender_packets",
+            "corpus.sentence_length",
+            "train.batch_pairs",
+            "knn.neighbor_distance",
+        ):
+            assert frame["sketches"][name]["count"] > 0, name
 
     def test_monitor_gauges_present(self, snapshots):
         # The update path with a registry attached emits quality gauges.
@@ -557,6 +527,6 @@ class TestUpdateMetricsDeterminism:
         trace = small_bundle.trace
         cut = trace.start_time + 3 * 86400.0
         head = trace.between(trace.start_time, cut)
-        hist = snapshots[1]["histograms"]["ingest.sender_packets"]
+        sketch = snapshots[1]["sketches"]["ingest.sender_packets"]
         # fit ingests the 3-day head; update adds the day-4 slice.
-        assert hist["total"] >= len(head.observed_senders())
+        assert sketch["count"] >= len(head.observed_senders())
