@@ -17,10 +17,9 @@ of micro-batches through the single-writer update loop.  Reported:
   snapshot warm-up (pre-touching the freshly built index before the
   swap) is reported alongside from ``serve.warmup_seconds``.
 * **batched queries** — after the ingest phase drains, one thread
-  classifies the same sender list twice: one-at-a-time and via
-  ``classify_many`` in fixed-size batches.  Batching answers the whole
-  list from one vectorized search, so its throughput must beat the
-  single-query loop.
+  classifies the same sender list twice: one-at-a-time and as
+  fixed-size sender lists passed to ``classify``.  A list is answered
+  by one search, so its throughput must beat the single-query loop.
 
 The acceptance bar is the read path: **p99 query latency < 50 ms at
 N=100k senders** while promotions are happening.  Queries answer from
@@ -207,7 +206,7 @@ def bench_serve(args) -> dict:
         single_seconds = time.perf_counter() - t_single
         t_batched = time.perf_counter()
         for lo in range(0, len(batch_ips), args.batch_query_size):
-            service.classify_many(batch_ips[lo : lo + args.batch_query_size])
+            service.classify(batch_ips[lo : lo + args.batch_query_size])
         batched_seconds = time.perf_counter() - t_batched
         service.close()
 
@@ -300,7 +299,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--batch-query-size",
         type=int,
         default=64,
-        help="senders per classify_many call in the batched phase",
+        help="senders per list classify call in the batched phase",
     )
     parser.add_argument(
         "--batch-query-total",

@@ -62,9 +62,10 @@ def extend_ground_truth(
     if len(unknown_rows) == 0 or len(known_rows) == 0:
         return ExtensionResult(accepted=accepted, distances=distances)
 
-    unknown_pred = classifier.predict_rows(unknown_rows, exclude_self=True)
-    unknown_dist = classifier.neighbor_distances(unknown_rows, exclude_self=True)
-    known_dist = classifier.neighbor_distances(known_rows, exclude_self=True)
+    unknown_pred, unknown_dist = classifier.predict_rows(
+        unknown_rows, exclude_self=True
+    )
+    _, known_dist = classifier.predict_rows(known_rows, exclude_self=True)
 
     for name in sorted({label for label in labels if label != UNKNOWN}):
         class_rows = known_rows[labels[known_rows] == name]

@@ -4,9 +4,9 @@ The search itself lives in :mod:`repro.ann`: :func:`knn_search` builds
 the backend an :class:`~repro.ann.base.AnnSpec` asks for (brute force
 by default, IVF when configured) and queries it.  Callers that search
 the same vectors repeatedly should build one index via
-:func:`repro.ann.build_index` — or one :class:`CosineKnn`, which also
-caches the last search so prediction and distance extraction share a
-single k-NN pass.
+:func:`repro.ann.build_index` — or one :class:`CosineKnn`, whose
+:meth:`~CosineKnn.predict_rows` takes labels and mean neighbour
+distances from a single k-NN pass.  Nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -54,10 +54,8 @@ class CosineKnn:
     refinement of the paper's majority vote.  ``workers`` parallelises
     the neighbour search without changing any result.
 
-    :meth:`predict_rows` and :meth:`neighbor_distances` both consume
-    the ``(neighbors, similarities)`` of one :meth:`search`, which
-    memoises its last result — evaluating predictions and distances
-    for the same query set costs a single k-NN pass.
+    :meth:`predict_rows` searches its rows once per call and keeps no
+    state between calls, so one classifier can serve many threads.
     """
 
     def __init__(
@@ -81,7 +79,6 @@ class CosineKnn:
             self.index = build_index(
                 unit_rows(np.asarray(vectors)), spec=spec, workers=workers
             )
-        self.units = self.index.units
         self.labels = np.asarray(labels, dtype=object)
         self.k = k
         self.workers = workers
@@ -102,44 +99,22 @@ class CosineKnn:
             dtype=np.intp,
             count=len(labels_list),
         )
-        self._cached: tuple[tuple, tuple[np.ndarray, np.ndarray]] | None = None
-
-    def search(
-        self, query_rows: np.ndarray, exclude_self: bool = False
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(neighbors, similarities)`` for the given row indices.
-
-        The most recent result is cached, so consecutive calls with
-        the same queries (predict + distances) search once.  The cache
-        is read into a local before the key check, so concurrent
-        searches for different queries (the serving read path runs one
-        classifier under many handler threads) can never return each
-        other's result — at worst a concurrent writer wastes a search.
-        """
-        query_rows = np.asarray(query_rows, dtype=np.int64)
-        key = (query_rows.tobytes(), bool(exclude_self), self.k)
-        cached = self._cached
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        result = self.index.search(
-            query_rows, self.k, exclude_self=exclude_self, workers=self.workers
-        )
-        self._cached = (key, result)
-        return result
 
     def predict_rows(
         self, query_rows: np.ndarray, exclude_self: bool = False
-    ) -> np.ndarray:
-        """Predicted labels for the given row indices."""
-        neighbors, sims = self.search(query_rows, exclude_self=exclude_self)
-        return vote_encoded(self._unique_labels, self._codes, neighbors, sims)
-
-    def neighbor_distances(
-        self, query_rows: np.ndarray, exclude_self: bool = False
-    ) -> np.ndarray:
-        """Mean cosine *distance* (1 - similarity) to the k neighbours."""
-        _, sims = self.search(query_rows, exclude_self=exclude_self)
-        return 1.0 - sims.mean(axis=1)
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Predicted label and mean cosine *distance* (1 - similarity)
+        to the k neighbours of each given row, from one search."""
+        neighbors, sims = self.index.search(
+            np.asarray(query_rows, dtype=np.int64),
+            self.k,
+            exclude_self=exclude_self,
+            workers=self.workers,
+        )
+        labels = vote_encoded(self._unique_labels, self._codes, neighbors, sims)
+        # sum / k is what sims.mean(axis=1) computes, bit for bit,
+        # without mean's per-call overhead on a one-row search.
+        return labels, 1.0 - sims.sum(axis=1) / sims.shape[1]
 
 
 def majority_vote(

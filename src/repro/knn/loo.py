@@ -33,4 +33,7 @@ def leave_one_out_predictions(
     classifier = CosineKnn(
         vectors, labels, k=k, workers=workers, spec=spec, index=index
     )
-    return classifier.predict_rows(np.asarray(eval_rows), exclude_self=True)
+    predictions, _ = classifier.predict_rows(
+        np.asarray(eval_rows), exclude_self=True
+    )
+    return predictions

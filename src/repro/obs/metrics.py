@@ -84,7 +84,7 @@ METRICS: dict[str, MetricSpec] = {
     ),
     "train.batch_pairs": MetricSpec(
         "sketch",
-        "distribution of SGD batch sizes",
+        "raw (center, context) pairs per SGD batch",
         unit="pairs",
         deterministic=False,
     ),

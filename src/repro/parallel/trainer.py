@@ -544,7 +544,7 @@ class ShardedTrainer:
             )
             obs.add("train.pairs", raw)
             obs.add("train.batches", 1)
-            obs.observe("train.batch_pairs", len(centers))
+            obs.observe("train.batch_pairs", raw)
             if loss is not None:
                 loss_sum += loss
                 loss_pairs += raw

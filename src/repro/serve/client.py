@@ -88,25 +88,17 @@ class ServeClient:
     def classify(self, ip: str | list) -> dict:
         """k-NN majority-vote label + mean distance for one sender.
 
-        Also accepts a list of IPs: the daemon answers the whole batch
-        from one vectorized search and returns per-sender ``results``.
+        Also accepts a list of IPs: the daemon answers it from one
+        search and returns per-sender ``results``.
         """
         return self.call("classify", ip=ip)
-
-    def classify_many(self, ips: list) -> dict:
-        """Batched classify: one request, one vectorized search."""
-        return self.call("classify", ip=list(ips))
 
     def neighbors(self, ip: str | list, k: int | None = None) -> dict:
         """The ``k`` nearest senders (cosine) of one sender.
 
-        Also accepts a list of IPs (batched, like :meth:`classify`).
+        Also accepts a list of IPs, like :meth:`classify`.
         """
         return self.call("neighbors", ip=ip, k=k)
-
-    def neighbors_many(self, ips: list, k: int | None = None) -> dict:
-        """Batched neighbors: one request, one vectorized search."""
-        return self.call("neighbors", ip=list(ips), k=k)
 
     def members(self, ip: str, sample: int | None = None) -> dict:
         """Louvain cluster id + (sampled) member list for one sender."""

@@ -18,11 +18,12 @@ Supported ops:
 ``status``
     writer/reader state (model version, promotions, rollbacks, ...).
 ``classify`` / ``neighbors`` / ``members``
-    the three read queries, keyed by ``ip`` (dotted quad or int).
-    ``classify`` and ``neighbors`` also accept a *list* of IPs and
-    answer the whole batch from one vectorized index search — the
-    response then carries per-sender ``results`` (unknown senders get
-    an ``"error"`` slot instead of failing the batch).
+    the three read queries, keyed by ``ip``: a dotted quad or a whole
+    number in [0, 2**32); any other value is refused.  ``classify``
+    and ``neighbors`` also accept a *list* of IPs, answered like one
+    sender by one row lookup and one index search; the response then
+    carries per-sender ``results`` (unknown senders get an ``"error"``
+    slot instead of failing the list).
 ``ingest``
     enqueue one micro-batch: either ``path`` (a trace file the server
     loads) or inline ``events`` columns (times, ips, ports, protos,
@@ -91,14 +92,15 @@ MAX_QUERY_IPS = 1024
 MAX_QUERY_K = 100
 
 
-def _bounded_ips(ips: list) -> list:
-    """``ips``, after checking it against :data:`MAX_QUERY_IPS`."""
-    if len(ips) > MAX_QUERY_IPS:
+def _bounded_ips(ip):
+    """A request's ``ip``, after checking a list against
+    :data:`MAX_QUERY_IPS`."""
+    if isinstance(ip, (list, tuple)) and len(ip) > MAX_QUERY_IPS:
         raise ValueError(
-            f"ip list of {len(ips)} senders exceeds the limit of "
+            f"ip list of {len(ip)} senders exceeds the limit of "
             f"{MAX_QUERY_IPS} (MAX_QUERY_IPS)"
         )
-    return ips
+    return ip
 
 
 def _bounded_k(k):
@@ -247,16 +249,13 @@ class ServeServer(socketserver.ThreadingTCPServer):
         if op == "status":
             return {"ok": True, **service.status()}
         if op == "classify":
-            ip = request["ip"]
-            if isinstance(ip, (list, tuple)):
-                return {"ok": True, **service.classify_many(_bounded_ips(ip))}
-            return {"ok": True, **service.classify(ip)}
+            return {"ok": True, **service.classify(_bounded_ips(request["ip"]))}
         if op == "neighbors":
-            ip = request["ip"]
             k = _bounded_k(request.get("k"))
-            if isinstance(ip, (list, tuple)):
-                return {"ok": True, **service.neighbors_many(_bounded_ips(ip), k=k)}
-            return {"ok": True, **service.neighbors(ip, k=k)}
+            return {
+                "ok": True,
+                **service.neighbors(_bounded_ips(request["ip"]), k=k),
+            }
         if op == "members":
             return {
                 "ok": True,

@@ -13,6 +13,7 @@ across a promotion or a rollback.
 
 from __future__ import annotations
 
+import numbers
 import queue
 import threading
 from time import perf_counter
@@ -195,56 +196,38 @@ class DarkVecService:
     # Read path (any thread; never blocks on the writer)
     # ------------------------------------------------------------------
 
-    def _timed(self, fn, *args, **kwargs) -> dict:
-        obs.add("serve.queries")
+    def _read(self, one, many, ip, **kwargs) -> dict:
+        """``one(ip)`` for one sender, or ``many(ips)`` for a list where
+        the op takes one, timed; ``serve.queries`` counts every sender."""
+        if many is not None and isinstance(ip, (list, tuple)):
+            fn, arg, queries = many, [_as_ip(each) for each in ip], len(ip)
+        else:
+            fn, arg, queries = one, _as_ip(ip), 1
+        obs.add("serve.queries", queries)
         t0 = perf_counter()
         try:
-            result = fn(*args, **kwargs)
+            return fn(arg, **kwargs)
         except Exception:
             obs.add("serve.query_errors")
             raise
         finally:
             obs.observe("serve.query_seconds", perf_counter() - t0)
-        return result
 
-    def _timed_batch(self, fn, ips: list, **kwargs) -> dict:
-        """Like :meth:`_timed`, counting every sender of the batch."""
-        obs.add("serve.queries", len(ips))
-        t0 = perf_counter()
-        try:
-            result = fn(ips, **kwargs)
-        except Exception:
-            obs.add("serve.query_errors")
-            raise
-        finally:
-            obs.observe("serve.query_seconds", perf_counter() - t0)
-        return result
-
-    def classify(self, ip: int | str) -> dict:
-        """k-NN majority-vote label of a sender, from the live snapshot."""
-        return self._timed(self.snapshot.classify, _as_ip(ip))
-
-    def classify_many(self, ips) -> dict:
-        """Batched classify: one vectorized search for all senders."""
+    def classify(self, ip: int | str | list) -> dict:
+        """k-NN majority-vote label of a sender, or of each sender of a
+        list, from the live snapshot."""
         snapshot = self.snapshot
-        return self._timed_batch(
-            snapshot.classify_many, [_as_ip(ip) for ip in ips]
-        )
+        return self._read(snapshot.classify, snapshot.classify_many, ip)
 
-    def neighbors(self, ip: int | str, k: int | None = None) -> dict:
-        """Nearest embedded senders of ``ip``, from the live snapshot."""
-        return self._timed(self.snapshot.neighbors, _as_ip(ip), k=k)
-
-    def neighbors_many(self, ips, k: int | None = None) -> dict:
-        """Batched neighbors: one vectorized search for all senders."""
+    def neighbors(self, ip: int | str | list, k: int | None = None) -> dict:
+        """Nearest embedded senders of a sender, or of each sender of a
+        list, from the live snapshot."""
         snapshot = self.snapshot
-        return self._timed_batch(
-            snapshot.neighbors_many, [_as_ip(ip) for ip in ips], k=k
-        )
+        return self._read(snapshot.neighbors, snapshot.neighbors_many, ip, k=k)
 
     def membership(self, ip: int | str, sample: int = 8) -> dict:
         """Cached Louvain cluster membership of ``ip``."""
-        return self._timed(self.snapshot.membership, _as_ip(ip), sample=sample)
+        return self._read(self.snapshot.membership, None, ip, sample=sample)
 
     def status(self) -> dict:
         """Writer/reader state of the daemon, for ``repro query status``."""
@@ -268,5 +251,19 @@ class DarkVecService:
         }
 
 
-def _as_ip(ip: int | str) -> int:
-    return str_to_ip(ip) if isinstance(ip, str) else int(ip)
+def _as_ip(ip) -> int:
+    """A query address: a dotted quad, or a whole number in [0, 2**32)
+    that is not a bool.  Anything else is refused, naming the value."""
+    if isinstance(ip, str):
+        return str_to_ip(ip)
+    if (
+        isinstance(ip, numbers.Real)
+        and not isinstance(ip, bool)
+        and 0 <= ip < 2**32
+        and ip == int(ip)
+    ):
+        return int(ip)
+    raise ValueError(
+        f"query address {ip!r} is not a dotted quad or a whole number "
+        f"in [0, 2**32)"
+    )

@@ -160,127 +160,106 @@ class ModelSnapshot:
 
     def row_of_ip(self, ip: int) -> int:
         """Embedding row of sender ``ip``; raises when not embedded."""
-        order = self._ip_order
-        pos = int(np.searchsorted(self.sender_ips, np.uint32(ip), sorter=order))
-        if pos < len(order) and int(self.sender_ips[order[pos]]) == int(ip):
-            return int(order[pos])
-        raise UnknownSenderError(
-            f"sender {ip_to_str(int(ip))} is not covered by the live "
-            f"embedding (model v{self.version}, {len(self)} senders)"
-        )
+        row = int(self.rows_of_ips([ip])[0])
+        if row < 0:
+            raise self._unknown(ip)
+        return row
 
-    def rows_of_ips(self, ips: np.ndarray) -> np.ndarray:
+    def rows_of_ips(self, ips) -> np.ndarray:
         """Embedding row per sender IP; -1 where not embedded."""
         ips = np.asarray(ips, dtype=np.uint32)
         order = self._ip_order
-        pos = np.searchsorted(self.sender_ips, ips, sorter=order)
-        pos = np.clip(pos, 0, len(order) - 1)
-        rows = order[pos].astype(np.int64)
-        return np.where(self.sender_ips[rows] == ips, rows, -1)
+        pos = self.sender_ips.searchsorted(ips, sorter=order)
+        rows = order[np.minimum(pos, len(order) - 1)]
+        rows[self.sender_ips[rows] != ips] = -1
+        return rows
+
+    def _unknown(self, ip: int) -> UnknownSenderError:
+        return UnknownSenderError(
+            f"sender {ip_to_str(int(ip))} is not covered by the live "
+            f"embedding (model v{self.version}, {len(self)} senders)"
+        )
 
     # ------------------------------------------------------------------
     # Query API
     # ------------------------------------------------------------------
 
     def classify(self, ip: int) -> dict:
-        """Majority-vote label of the sender's k nearest neighbours."""
-        row = self.row_of_ip(ip)
-        rows = np.array([row], dtype=np.int64)
-        label = self.knn.predict_rows(rows, exclude_self=True)[0]
-        distance = float(self.knn.neighbor_distances(rows, exclude_self=True)[0])
-        return {
-            "ip": ip_to_str(int(ip)),
-            "label": str(label),
-            "mean_distance": distance,
-            "k": self.knn.k,
-            "version": self.version,
-        }
+        """Majority-vote label of the sender's k nearest neighbours: the
+        one-sender :meth:`classify_many`, unwrapped."""
+        result = self._only(self.classify_many([ip]), ip)
+        return {**result, "version": self.version}
 
     def neighbors(self, ip: int, k: int | None = None) -> dict:
-        """The sender's nearest embedded senders by cosine similarity."""
-        row = self.row_of_ip(ip)
-        k = self.knn.k if k is None else int(k)
-        if k < 1:
-            raise ValueError("k must be positive")
-        k = min(k, len(self) - 1)
-        neighbors, sims = self.knn.index.search(
-            np.array([row], dtype=np.int64), k, exclude_self=True
-        )
-        return {
-            "ip": ip_to_str(int(ip)),
-            "version": self.version,
-            "neighbors": [
-                {
-                    "ip": ip_to_str(int(self.sender_ips[n])),
-                    "similarity": float(s),
-                    "label": str(self.knn.labels[n]),
-                }
-                for n, s in zip(neighbors[0], sims[0])
-            ],
-        }
+        """The sender's nearest embedded senders by cosine similarity:
+        the one-sender :meth:`neighbors_many`, unwrapped."""
+        result = self._only(self.neighbors_many([ip], k=k), ip)
+        # The reply's field order: ip, version, neighbors.
+        return {"ip": result["ip"], "version": self.version, **result}
 
     def classify_many(self, ips) -> dict:
-        """Batched classify: one shared k-NN search for every sender.
+        """Label and mean neighbour distance of each sender, from one
+        shared k-NN search and vote."""
+        k = self.knn.k
 
-        Unknown senders do not fail the batch — their slot carries an
-        ``"error"`` field instead of a label.
-        """
-        ips = np.asarray(list(ips), dtype=np.uint32)
-        rows = self.rows_of_ips(ips)
-        known = rows >= 0
-        results: list[dict | None] = [None] * len(ips)
-        if known.any():
-            krows = rows[known]
-            labels = self.knn.predict_rows(krows, exclude_self=True)
-            distances = self.knn.neighbor_distances(krows, exclude_self=True)
-            for slot, label, distance in zip(
-                np.flatnonzero(known), labels, distances
-            ):
-                results[slot] = {
-                    "ip": ip_to_str(int(ips[slot])),
-                    "label": str(label),
-                    "mean_distance": float(distance),
-                    "k": self.knn.k,
-                }
-        for slot in np.flatnonzero(~known):
-            results[slot] = {
-                "ip": ip_to_str(int(ips[slot])),
-                "error": "unknown sender",
-            }
-        return {"version": self.version, "results": results}
+        def answer(rows) -> list[dict]:
+            labels, distances = self.knn.predict_rows(rows, exclude_self=True)
+            return [
+                {"label": str(label), "mean_distance": distance, "k": k}
+                for label, distance in zip(labels.tolist(), distances.tolist())
+            ]
+
+        return self._reply(ips, answer)
 
     def neighbors_many(self, ips, k: int | None = None) -> dict:
-        """Batched neighbors: one vectorized index search for all IPs."""
-        ips = np.asarray(list(ips), dtype=np.uint32)
-        rows = self.rows_of_ips(ips)
-        known = rows >= 0
+        """The nearest embedded senders of each sender, from one index
+        search."""
         k = self.knn.k if k is None else int(k)
         if k < 1:
             raise ValueError("k must be positive")
         k = min(k, len(self) - 1)
-        results: list[dict | None] = [None] * len(ips)
-        if known.any():
-            neighbors, sims = self.knn.index.search(
-                rows[known], k, exclude_self=True
-            )
-            for j, slot in enumerate(np.flatnonzero(known)):
-                results[slot] = {
-                    "ip": ip_to_str(int(ips[slot])),
+        sender_ips, labels = self.sender_ips, self.knn.labels
+
+        def answer(rows) -> list[dict]:
+            neighbors, sims = self.knn.index.search(rows, k, exclude_self=True)
+            return [
+                {
                     "neighbors": [
                         {
-                            "ip": ip_to_str(int(self.sender_ips[n])),
-                            "similarity": float(s),
-                            "label": str(self.knn.labels[n]),
+                            "ip": ip_to_str(sender_ips[n]),
+                            "similarity": s,
+                            "label": str(labels[n]),
                         }
-                        for n, s in zip(neighbors[j], sims[j])
-                    ],
+                        for n, s in zip(row_neighbors, row_sims)
+                    ]
                 }
-        for slot in np.flatnonzero(~known):
-            results[slot] = {
-                "ip": ip_to_str(int(ips[slot])),
-                "error": "unknown sender",
-            }
+                for row_neighbors, row_sims in zip(neighbors.tolist(), sims.tolist())
+            ]
+
+        return self._reply(ips, answer)
+
+    def _reply(self, ips, answer) -> dict:
+        """``{version, results}``: one row lookup, then one ``answer`` of
+        a slot per embedded sender's row.  An unknown sender does not
+        fail the list: its slot carries an ``"error"`` field instead."""
+        ips = np.asarray(list(ips), dtype=np.uint32)
+        rows = self.rows_of_ips(ips)
+        known = rows[rows >= 0]
+        answers = iter(answer(known) if len(known) else ())
+        results = [
+            {"ip": ip_to_str(ip), **next(answers)}
+            if row >= 0
+            else {"ip": ip_to_str(ip), "error": "unknown sender"}
+            for ip, row in zip(ips.tolist(), rows.tolist())
+        ]
         return {"version": self.version, "results": results}
+
+    def _only(self, reply: dict, ip: int) -> dict:
+        """The slot of a one-sender reply; raises for an unknown sender."""
+        (result,) = reply["results"]
+        if "error" in result:
+            raise self._unknown(ip)
+        return result
 
     def membership(self, ip: int, sample: int = 8) -> dict:
         """Cluster membership from the cached Louvain partition."""

@@ -532,27 +532,24 @@ class TestIndexCodecs:
             np.testing.assert_array_equal(got, want)
 
 
-class TestCosineKnnCache:
-    def test_predict_and_distances_share_one_search(self):
+class TestCosineKnnSearch:
+    def test_predict_rows_searches_each_row_once(self):
         units = clustered_units(n=120, seed=10)
         labels = np.array(["a", "b"] * 60, dtype=object)
+        knn = CosineKnn(units, labels, k=5)
         telemetry = Telemetry()
         with obs.session(telemetry):
-            knn = CosineKnn(units, labels, k=5)
-            rows = np.arange(40)
-            knn.predict_rows(rows, exclude_self=True)
-            knn.neighbor_distances(rows, exclude_self=True)
+            predicted, distances = knn.predict_rows(
+                np.arange(40), exclude_self=True
+            )
+        # Labels and distances come from one search of the 40 rows.
         assert telemetry.registry.counters["knn.queries"] == 40
-
-    def test_cache_misses_on_different_queries(self):
-        units = clustered_units(n=120, seed=10)
-        labels = np.array(["a", "b"] * 60, dtype=object)
-        telemetry = Telemetry()
+        assert len(predicted) == len(distances) == 40
         with obs.session(telemetry):
-            knn = CosineKnn(units, labels, k=5)
             knn.predict_rows(np.arange(40), exclude_self=True)
             knn.predict_rows(np.arange(40, 80), exclude_self=True)
-        assert telemetry.registry.counters["knn.queries"] == 80
+        # Every call searches its own rows: nothing is remembered.
+        assert telemetry.registry.counters["knn.queries"] == 120
 
     def test_accepts_prebuilt_index(self):
         units = clustered_units(n=80, seed=11)
@@ -562,8 +559,8 @@ class TestCosineKnnCache:
         direct = CosineKnn(units, labels, k=3)
         rows = np.arange(80)
         np.testing.assert_array_equal(
-            knn.predict_rows(rows, exclude_self=True),
-            direct.predict_rows(rows, exclude_self=True),
+            knn.predict_rows(rows, exclude_self=True)[0],
+            direct.predict_rows(rows, exclude_self=True)[0],
         )
 
 
@@ -761,8 +758,8 @@ class TestHNSWCrossBackend:
         )
         rows = np.arange(600)
         agree = (
-            exact_knn.predict_rows(rows, exclude_self=True)
-            == hnsw_knn.predict_rows(rows, exclude_self=True)
+            exact_knn.predict_rows(rows, exclude_self=True)[0]
+            == hnsw_knn.predict_rows(rows, exclude_self=True)[0]
         ).mean()
         assert agree >= 0.95
 

@@ -80,13 +80,13 @@ class TestCosineKnn:
     def test_predicts_cluster_labels(self, two_clusters):
         vectors, labels = two_clusters
         classifier = CosineKnn(vectors, labels, k=3)
-        predictions = classifier.predict_rows(np.arange(20), exclude_self=True)
+        predictions, _ = classifier.predict_rows(np.arange(20), exclude_self=True)
         assert (predictions == labels).all()
 
     def test_neighbor_distances_small_within_cluster(self, two_clusters):
         vectors, labels = two_clusters
         classifier = CosineKnn(vectors, labels, k=3)
-        distances = classifier.neighbor_distances(np.arange(20), exclude_self=True)
+        _, distances = classifier.predict_rows(np.arange(20), exclude_self=True)
         assert distances.max() < 0.05
 
     def test_misaligned_inputs(self, two_clusters):
@@ -94,46 +94,49 @@ class TestCosineKnn:
         with pytest.raises(ValueError):
             CosineKnn(vectors, labels[:-1])
 
-    def test_memo_cache_safe_under_concurrent_queries(self, two_clusters):
-        """Threads querying *different* rows never cross cached results.
+    def test_concurrent_queries_get_their_own_answers(self, two_clusters):
+        """Threads querying *different* rows never get each other's answers.
 
         The serving read path runs one classifier under many handler
-        threads; the last-search memo must never hand thread A the
-        neighbours computed for thread B's key (the old two-read check
-        raced exactly there).
+        threads, so a prediction must depend on its own rows only.
         """
+        import sys
         import threading
 
         vectors, labels = two_clusters
         classifier = CosineKnn(vectors, labels, k=3)
         rows = [np.array([i]) for i in range(8)]
-        expected = [
-            (
-                classifier.predict_rows(row, exclude_self=True)[0],
-                classifier.neighbor_distances(row, exclude_self=True)[0],
-            )
-            for row in rows
-        ]
+
+        def answer(row: np.ndarray) -> tuple:
+            labels, distances = classifier.predict_rows(row, exclude_self=True)
+            return labels[0], distances[0]
+
+        expected = [answer(row) for row in rows]
         crossed: list[tuple] = []
         start = threading.Barrier(len(rows))
 
         def hammer(i: int) -> None:
-            row, (want_label, want_dist) = rows[i], expected[i]
+            row, want = rows[i], expected[i]
             start.wait()
             for _ in range(300):
-                label = classifier.predict_rows(row, exclude_self=True)[0]
-                dist = classifier.neighbor_distances(row, exclude_self=True)[0]
-                if label != want_label or dist != want_dist:
-                    crossed.append((i, label, dist))
+                got = answer(row)
+                if got != want:
+                    crossed.append((i, got))
                     return
 
         threads = [
             threading.Thread(target=hammer, args=(i,)) for i in range(len(rows))
         ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60.0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
         assert crossed == []
 
 

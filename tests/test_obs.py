@@ -503,6 +503,9 @@ class TestUpdateMetricsDeterminism:
                 sketches["train.batch_pairs"]["count"]
                 == counters["train.batches"]
             )
+            # Each batch records its raw pairs, the ones train.pairs
+            # counts, not the unique pairs left after dedup.
+            assert sketches["train.batch_pairs"]["sum"] == counters["train.pairs"]
 
     def test_frame_lists_distributions(self, sessions):
         from repro.obs.live import build_frame

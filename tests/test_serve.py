@@ -438,6 +438,49 @@ class TestServiceLifecycle:
                 assert seen and seen == sorted(seen)
                 assert seen[-1] <= 3
 
+    def test_one_search_per_sender_under_concurrent_readers(self, fresh_fit):
+        """Each request searches its senders' rows once, whatever the
+        other reader threads do meanwhile."""
+        import sys
+
+        from repro import obs
+
+        darkvec, _ = fresh_fit
+        telemetry = obs.Telemetry()
+        rounds, errors = 40, []
+        with DarkVecService(darkvec, with_clusters=False) as service:
+            senders = service.snapshot.sender_ips.tolist()
+
+            def reader(seed: int) -> None:
+                rng = np.random.default_rng(seed)
+                try:
+                    for _ in range(rounds):
+                        picks = [senders[i] for i in rng.integers(0, len(senders), 4)]
+                        service.classify(picks[0])
+                        service.classify(picks + [1])  # 1 = 0.0.0.1, not embedded
+                        service.neighbors(picks[1], k=3)
+                        service.neighbors(picks[2:], k=3)
+                except Exception as exc:  # pragma: no cover
+                    errors.append(exc)
+
+            readers = [threading.Thread(target=reader, args=(i,)) for i in range(4)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                with obs.session(telemetry):
+                    for thread in readers:
+                        thread.start()
+                    for thread in readers:
+                        thread.join(timeout=120.0)
+            finally:
+                sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in readers)
+        assert errors == []
+        counters = telemetry.registry.counters
+        embedded = 4 * rounds * (1 + 4 + 1 + 2)
+        assert counters["knn.queries"] == embedded
+        assert counters["serve.queries"] == embedded + 4 * rounds
+
 
 class TestServerClient:
     def test_round_trip(self, fresh_fit, tmp_path):
@@ -496,16 +539,16 @@ class TestServerClient:
                     ip_to_str(int(service.snapshot.sender_ips[1])),
                     "0.0.0.1",
                 ]
-                batch = client.classify_many(ips)
+                batch = client.classify(ips)
                 assert len(batch["results"]) == 3
                 assert batch["results"][0]["ip"] == ips[0]
                 assert batch["results"][0]["label"]
                 assert batch["results"][2]["error"] == "unknown sender"
-                nbatch = client.neighbors_many(ips[:2], k=2)
+                nbatch = client.neighbors(ips[:2], k=2)
                 assert all(
                     len(r["neighbors"]) == 2 for r in nbatch["results"]
                 )
-                # the list-typed ip field rides the plain verbs too
+                # a one-sender list still answers as a list
                 assert client.classify(ips[:1])["results"][0]["ip"] == ips[0]
             # the CLI splits a comma list into one batched request
             from repro.cli import main
@@ -635,17 +678,48 @@ class TestServerClient:
         try:
             with ServeClient(port=server.port) as client:
                 with pytest.raises(ServeError, match="limit of 4 .MAX_QUERY_IPS"):
-                    client.classify_many(ips)
+                    client.classify(ips)
                 with pytest.raises(ServeError, match="limit of 4 .MAX_QUERY_IPS"):
-                    client.neighbors_many(ips, k=2)
+                    client.neighbors(ips, k=2)
                 with pytest.raises(ServeError, match="limit of 5 .MAX_QUERY_K"):
                     client.neighbors(ips[0], k=6)
                 with pytest.raises(ServeError, match="limit of 5 .MAX_QUERY_K"):
-                    client.neighbors_many(ips[:4], k=6)
+                    client.neighbors(ips[:4], k=6)
                 # at the limits the same connection answers as before
-                assert len(client.classify_many(ips[:4])["results"]) == 4
-                reply = client.neighbors_many(ips[:4], k=5)
+                assert len(client.classify(ips[:4])["results"]) == 4
+                reply = client.neighbors(ips[:4], k=5)
                 assert [len(r["neighbors"]) for r in reply["results"]] == [5] * 4
+        finally:
+            service.close()
+            server._shutdown_requested.set()
+
+    def test_malformed_query_address_is_refused(self, fresh_fit):
+        """Only a dotted quad or a whole number in [0, 2**32) names a
+        sender; anything else is refused, alone or inside a list."""
+        darkvec, _ = fresh_fit
+        service = DarkVecService(darkvec, with_clusters=False)
+        server = ServeServer(service, port=0)
+        server.start_background()
+        known = int(service.snapshot.sender_ips[0])
+        ip = ip_to_str(known)
+        try:
+            with ServeClient(port=server.port) as client:
+                for bad, named in (
+                    (known + 0.5, repr(known + 0.5)),
+                    (float("nan"), "nan"),
+                    (True, "True"),
+                    (-1, "-1"),
+                    (2**32, str(2**32)),
+                ):
+                    for op in ("classify", "neighbors"):
+                        for field in (bad, [ip, bad]):
+                            with pytest.raises(
+                                ServeError, match=f"query address {named} "
+                            ):
+                                client.call(op, ip=field)
+                    assert client.classify(ip)["ip"] == ip
+                # a whole number written as a float still names its sender
+                assert client.classify(float(known))["ip"] == ip
         finally:
             service.close()
             server._shutdown_requested.set()
