@@ -717,10 +717,11 @@ class HNSWIndex(NeighborIndex):
             obs.add("knn.distance_computations", computed)
             obs.add("ann.hops", hops)
             obs.add("ann.candidates_scored", scored)
-            obs.observe_many(
-                "ann.candidate_set_size",
-                np.concatenate([s["beam_sizes"] for s in stats]),
-            )
+            if stats:  # a search for zero rows has no chunks
+                obs.observe_many(
+                    "ann.candidate_set_size",
+                    np.concatenate([s["beam_sizes"] for s in stats]),
+                )
             sp.set(items=computed, items_unit="dists")
             obs.observe_many("knn.neighbor_distance", 1.0 - sims.ravel())
             if rec.enabled:

@@ -171,6 +171,15 @@ def build_parser() -> argparse.ArgumentParser:
                 **kind,
             )
 
+    def add_pool_flag(cmd: argparse.ArgumentParser) -> None:
+        cmd.add_argument(
+            "--pool-backend",
+            choices=("thread", "process"),
+            default="thread",
+            help="worker-pool backend: thread (exact, GIL-bound) or "
+            "process (fork + shared memory, scales past the GIL)",
+        )
+
     def add_scale_flags(cmd: argparse.ArgumentParser) -> None:
         cmd.add_argument(
             "--shard-size",
@@ -187,13 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="store stage artifacts in the raw mmap container and "
             "open them as memory-mapped views instead of heap copies",
         )
-        cmd.add_argument(
-            "--pool-backend",
-            choices=("thread", "process"),
-            default="thread",
-            help="worker-pool backend: thread (exact, GIL-bound) or "
-            "process (fork + shared memory, scales past the GIL)",
-        )
+        add_pool_flag(cmd)
 
     simulate = sub.add_parser("simulate", help="generate a synthetic trace")
     simulate.add_argument("--out", required=True, type=Path)
@@ -356,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="k-NN search parallelism (results are identical)",
     )
     add_ann_flags(evaluate)
-    add_scale_flags(evaluate)
+    add_pool_flag(evaluate)
     add_telemetry_flags(evaluate)
 
     cluster = sub.add_parser("cluster", help="Louvain cluster discovery")
@@ -372,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="k-NN search parallelism (results are identical)",
     )
     add_ann_flags(cluster)
-    add_scale_flags(cluster)
+    add_pool_flag(cluster)
     add_telemetry_flags(cluster)
 
     profile = sub.add_parser(
@@ -731,17 +734,10 @@ def _cmd_train(args) -> int:
     )
     progress = _print_progress if args.profile else None
     darkvec = DarkVec(config).fit(trace, progress=progress)
-    embedding = darkvec.embedding
-    assert embedding is not None and darkvec.corpus is not None
-    # Persist keyed by IP address (sender indices are trace-specific).
-    ips = trace.sender_ips[embedding.tokens].astype(np.int64)
-    order = np.argsort(ips)
-    KeyedVectors(tokens=ips[order], vectors=embedding.vectors[order]).save(
-        args.out
-    )
+    _export_ip_keyed(darkvec, args.out)
     print(
         f"trained on {darkvec.corpus.n_tokens} tokens; embedded "
-        f"{len(embedding)} senders -> {args.out}"
+        f"{len(darkvec.embedding)} senders -> {args.out}"
     )
     return 0
 

@@ -220,6 +220,14 @@ class DarkVecConfig:
             hnsw_ef_search=self.ann_hnsw_ef_search,
         )
 
+    def trainer(self, **overrides):
+        """The skip-gram trainer built from exactly the config fields
+        that key the ``train`` stage, with ``overrides`` (a progress
+        callback; a warm refit's ``epochs`` and ``alpha``) applied."""
+        from repro.w2v.model import Word2Vec
+
+        return Word2Vec(**{**self.stage_fields("train"), **overrides})
+
     def resolve_service_map(self, trace: Trace) -> ServiceMap:
         """Materialise the service map (auto services need the trace)."""
         if isinstance(self.service, ServiceMap):

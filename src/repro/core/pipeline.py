@@ -29,10 +29,9 @@ from repro import obs
 from repro.ann import audit as ann_audit
 from repro.ann.base import NeighborIndex, build_index, can_evolve
 from repro.core.config import DarkVecConfig
-from repro.core.stages import STAGE_VERSIONS, StagedPipeline, StageStatus
+from repro.core.stages import STAGE_VERSIONS, FittedModel, StagedPipeline, StageStatus
 from repro.corpus.builder import CorpusBuilder
-from repro.corpus.document import Corpus, Sentence
-from repro.corpus.windows import WindowGrid
+from repro.corpus.document import Corpus
 from repro.graph.knn_graph import KnnGraph, build_knn_graph
 from repro.graph.louvain import louvain_communities
 from repro.graph.modularity import modularity
@@ -50,7 +49,6 @@ from repro.trace.merge import merge_traces
 from repro.trace.packet import Trace
 from repro.w2v.keyedvectors import KeyedVectors
 from repro.w2v.mathutils import unit_rows
-from repro.w2v.model import Word2Vec
 from repro.w2v.vocab import Vocabulary
 
 
@@ -110,7 +108,12 @@ class UpdateReport:
 
 
 class DarkVec:
-    """DarkVec pipeline: trace -> corpus -> embedding -> analyses."""
+    """DarkVec pipeline: trace -> corpus -> embedding -> analyses.
+
+    :meth:`fit`, :meth:`update` and :meth:`load_state` each build one
+    frozen :class:`~repro.core.stages.FittedModel`, installed whole as
+    :attr:`fitted` together with the neighbour index built from it.
+    """
 
     def __init__(
         self,
@@ -124,18 +127,27 @@ class DarkVec:
         self.registry: RunRegistry | None = (
             RunRegistry(store.root / "registry") if store is not None else None
         )
-        self.trace: Trace | None = None
-        self.corpus: Corpus | None = None
-        self.embedding: KeyedVectors | None = None
+        self.fitted: FittedModel | None = None
         self.stage_statuses: list[StageStatus] = []
         self.last_update: UpdateReport | None = None
         self.last_health: HealthReport | None = None
-        self._raw_corpus: Corpus | None = None
-        self._active: np.ndarray | None = None
-        self._t_origin: float = 0.0
-        self._service_map = None
-        self._embedding_hash: str | None = None
+        # Built lazily from ``fitted``; installed and rolled back with it.
         self._index: NeighborIndex | None = None
+
+    @property
+    def trace(self) -> Trace | None:
+        """The fitted rolling-window trace (None before :meth:`fit`)."""
+        return None if self.fitted is None else self.fitted.trace
+
+    @property
+    def corpus(self) -> Corpus | None:
+        """The fitted activity-filtered corpus (None before :meth:`fit`)."""
+        return None if self.fitted is None else self.fitted.corpus
+
+    @property
+    def embedding(self) -> KeyedVectors | None:
+        """The fitted sender embedding (None before :meth:`fit`)."""
+        return None if self.fitted is None else self.fitted.embedding
 
     # ------------------------------------------------------------------
     # Training
@@ -165,43 +177,31 @@ class DarkVec:
             pipeline = StagedPipeline(
                 self.config, store=self.store, progress=progress
             )
-            artifacts = pipeline.run(trace, until="train")
-            self._adopt(artifacts)
+            fitted, statuses = pipeline.run(trace)
             obs.sample_rss_peak_children("proc.rss_peak_children")
             if self.registry is not None:
                 profile, monitors = self._monitor_ingest(trace, kind="fit")
-                self.last_health = HealthReport(monitors=monitors)
+                health = HealthReport(monitors=monitors)
                 record_run(
                     self.registry,
                     "fit",
                     self.config,
                     wall_seconds=perf_counter() - t0,
-                    stages=self.stage_statuses,
+                    stages=statuses,
                     profile=profile,
-                    health=self.last_health.to_dict(),
+                    health=health.to_dict(),
                 )
+                self.last_health = health
+        # A pure cache-hit refit (same embedding, e.g. a warm restart
+        # re-running fit against the store) keeps the live ANN index
+        # instead of paying a full rebuild.
+        same = (
+            self.fitted is not None
+            and self.fitted.embedding_hash == fitted.embedding_hash
+        )
+        self.fitted, self._index = fitted, self._index if same else None
+        self.stage_statuses = statuses
         return self
-
-    def _adopt(self, artifacts) -> None:
-        """Install the staged-pipeline outputs as the fitted state."""
-        from repro.io.artifacts import KEYEDVECTORS_CODEC
-
-        self.trace = artifacts.trace
-        self._raw_corpus = artifacts.corpus
-        self._active = artifacts.active
-        self.corpus = artifacts.corpus.filtered_to(artifacts.active)
-        self.embedding = artifacts.embedding
-        self._t_origin = artifacts.t_origin
-        self._service_map = artifacts.service_map
-        self.stage_statuses = list(artifacts.statuses)
-        embedding_hash = KEYEDVECTORS_CODEC.content_hash(artifacts.embedding)
-        if embedding_hash != self._embedding_hash:
-            # Stale for the new embedding; rebuilt lazily.  A pure
-            # cache-hit refit (identical embedding hash, e.g. a warm
-            # restart re-running fit against the store) keeps the
-            # fitted ANN index instead of paying a full rebuild.
-            self._index = None
-        self._embedding_hash = embedding_hash
 
     # ------------------------------------------------------------------
     # Incremental retraining
@@ -246,9 +246,11 @@ class DarkVec:
         With a registry attached (store configured) or ``health_gate``
         on, the drift/quality monitors run against the candidate model
         and their verdicts land in :attr:`last_health`; under the gate,
-        a ``fail`` verdict **refuses promotion** — the previous fitted
-        state stays live (and is what :meth:`save_state` persists) and
-        ``last_health.promoted`` is False.
+        a ``fail`` verdict **refuses promotion** — the previous
+        :attr:`fitted` model and its index stay installed (and are what
+        :meth:`save_state` persists) and ``last_health.promoted`` is
+        False.  An update that raises leaves them installed too, and
+        :attr:`last_update` and :attr:`last_health` unchanged.
 
         Args:
             new_trace: the appended traffic (its sender table may be
@@ -267,7 +269,8 @@ class DarkVec:
                 the serve loop's idle ticks must not kill the daemon,
                 while the direct batch verb keeps the hard error.
         """
-        trace, embedding = self._require_fit()
+        fitted = self._require_fit()
+        trace, embedding = fitted.trace, fitted.embedding
         if not len(new_trace):
             if allow_empty:
                 obs.add("serve.empty_batches")
@@ -286,10 +289,10 @@ class DarkVec:
                 vectors=embedding.vectors,
                 context_vectors=embedding.context_vectors,
             )
-            raw = self._raw_corpus.remapped(remap_old)
+            raw = fitted.raw_corpus.remapped(remap_old)
 
-            builder = CorpusBuilder(self._service_map, delta_t=config.delta_t)
-            grid = builder.grid(self._t_origin)
+            builder = CorpusBuilder(fitted.service_map, delta_t=config.delta_t)
+            grid = builder.grid(fitted.t_origin)
             keep_from = grid.keep_from(merged.end_time, window_days)
             rebuild_from = grid.rebuild_from(new_trace.start_time, keep_from)
 
@@ -303,108 +306,75 @@ class DarkVec:
                 retained + rebuilt.sentences,
                 key=lambda s: (s.service_id, s.window),
             )
-            new_raw = Corpus(
-                sentences=sentences, service_names=raw.service_names
-            )
-
             active = kept_trace.active_senders(config.min_packets)
-            vocab = Vocabulary.merge(
-                Vocabulary.build([s.tokens for s in retained]),
-                Vocabulary.build([s.tokens for s in rebuilt.sentences]),
-            ).restricted_to(active)
+            tokens = [s.tokens for s in sentences]
+            vocab = Vocabulary.build(tokens).restricted_to(active)
             warm_tokens = int((prior.rows_of(vocab.tokens) >= 0).sum())
-
-            model = Word2Vec(
-                vector_size=config.vector_size,
-                context=config.context,
-                negative=config.negative,
-                epochs=epochs,
-                alpha=config.update_alpha,
-                seed=config.seed,
-                workers=config.workers,
-                pool_backend=config.pool_backend,
-                progress=progress,
+            refit = config.trainer(
+                epochs=epochs, alpha=config.update_alpha, progress=progress
+            ).fit(tokens, vocab=vocab, init=prior)
+            candidate = FittedModel(
+                trace=kept_trace,
+                raw_corpus=Corpus(
+                    sentences=sentences, service_names=raw.service_names
+                ),
+                active=active,
+                embedding=refit,
+                t_origin=fitted.t_origin,
+                service_map=fitted.service_map,
             )
-            refit = model.fit(
-                [sentence.tokens for sentence in sentences],
-                vocab=vocab,
-                init=prior,
-            )
-
-            prior_state = (
-                self.trace,
-                self._raw_corpus,
-                self._active,
-                self.corpus,
-                self.embedding,
-                self._embedding_hash,
-                self._index,
-            )
-            prior_index = self._index
-            self.trace = kept_trace
-            self._raw_corpus = new_raw
-            self._active = active
-            self.corpus = new_raw.filtered_to(active)
-            self.embedding = refit
-            from repro.io.artifacts import KEYEDVECTORS_CODEC
-
-            self._embedding_hash = KEYEDVECTORS_CODEC.content_hash(refit)
-            self._evolve_index(prior_index, prior, refit)
-            obs.sample_rss_peak("proc.rss_peak")
-            obs.sample_rss_peak_children("proc.rss_peak_children")
-            self.last_update = UpdateReport(
-                seconds=perf_counter() - t0,
-                new_packets=len(new_trace),
-                evicted_packets=len(trace) + len(new_trace) - len(kept_trace),
-                sentences_retained=len(retained),
-                sentences_rebuilt=len(rebuilt.sentences),
-                sentences_evicted=len(evicted),
-                warm_tokens=warm_tokens,
-                new_tokens=len(vocab) - warm_tokens,
-            )
-
-            gate = (
-                self.config.health.gate_updates
-                if health_gate is None
-                else health_gate
-            )
-            if gate or self.registry is not None:
-                profile, monitors, loo_accuracy = self._monitor_update(
-                    prior, refit, new_trace, truth
+            gate = config.health.gate_updates if health_gate is None else health_gate
+            # The monitors probe the candidate installed; a refusal, or
+            # any exception before the update completes, puts the prior
+            # (fitted, _index) pair back.
+            prior_state = (fitted, self._index)
+            self.fitted, self._index = candidate, None
+            promoted = False
+            try:
+                self._evolve_index(prior_state[1], prior, refit)
+                obs.sample_rss_peak("proc.rss_peak")
+                obs.sample_rss_peak_children("proc.rss_peak_children")
+                report = UpdateReport(
+                    seconds=perf_counter() - t0,
+                    new_packets=len(new_trace),
+                    evicted_packets=len(trace) + len(new_trace) - len(kept_trace),
+                    sentences_retained=len(retained),
+                    sentences_rebuilt=len(rebuilt.sentences),
+                    sentences_evicted=len(evicted),
+                    warm_tokens=warm_tokens,
+                    new_tokens=len(vocab) - warm_tokens,
                 )
-                health = HealthReport(monitors=monitors)
-                if gate and health.verdict == "fail":
-                    # Refuse promotion: the candidate is discarded and
-                    # the previously fitted state stays live.
-                    (
-                        self.trace,
-                        self._raw_corpus,
-                        self._active,
-                        self.corpus,
-                        self.embedding,
-                        self._embedding_hash,
-                        self._index,
-                    ) = prior_state
-                    health.promoted = False
-                    obs.add("health.gate_failures")
-                self.last_health = health
-                if self.registry is not None:
-                    report = self.last_update
-                    record_run(
-                        self.registry,
-                        "update",
-                        self.config,
-                        wall_seconds=perf_counter() - t0,
-                        profile=profile,
-                        health=health.to_dict(),
-                        extra={
-                            "loo_accuracy": loo_accuracy,
-                            "new_packets": report.new_packets,
-                            "evicted_packets": report.evicted_packets,
-                            "warm_tokens": report.warm_tokens,
-                            "new_tokens": report.new_tokens,
-                        },
+                health = None
+                if gate or self.registry is not None:
+                    profile, monitors, loo_accuracy = self._monitor_update(
+                        prior, refit, new_trace, truth
                     )
+                    health = HealthReport(monitors=monitors)
+                    if gate and health.verdict == "fail":
+                        health.promoted = False
+                        obs.add("health.gate_failures")
+                    if self.registry is not None:
+                        record_run(
+                            self.registry,
+                            "update",
+                            self.config,
+                            wall_seconds=perf_counter() - t0,
+                            profile=profile,
+                            health=health.to_dict(),
+                            extra={
+                                "loo_accuracy": loo_accuracy,
+                                "new_packets": report.new_packets,
+                                "evicted_packets": report.evicted_packets,
+                                "warm_tokens": report.warm_tokens,
+                                "new_tokens": report.new_tokens,
+                            },
+                        )
+                    self.last_health = health
+                self.last_update = report
+                promoted = health is None or health.promoted
+            finally:
+                if not promoted:
+                    self.fitted, self._index = prior_state
         return self
 
     # ------------------------------------------------------------------
@@ -416,7 +386,7 @@ class DarkVec:
             "ann-index",
             STAGE_VERSIONS["ann-index"],
             self.config.stage_fields("ann-index"),
-            {"train": self._embedding_hash},
+            {"train": self.fitted.embedding_hash},
         )
 
     def _index_codec(self):
@@ -441,17 +411,13 @@ class DarkVec:
         under the ``ann-index`` fingerprint (train hash + ANN config
         fields) and loaded back instead of rebuilt.
         """
-        _, embedding = self._require_fit()
+        fitted = self._require_fit()
         if self._index is not None:
             return self._index
         spec = self.config.ann_spec()
-        units = unit_rows(embedding.vectors)
+        units = unit_rows(fitted.embedding.vectors)
         codec = self._index_codec()
-        cacheable = (
-            codec is not None
-            and self.store is not None
-            and self._embedding_hash is not None
-        )
+        cacheable = codec is not None and self.store is not None
         if cacheable:
             fingerprint = self._ann_fingerprint()
             cached = self.store.load("ann-index", fingerprint, codec)
@@ -471,8 +437,8 @@ class DarkVec:
     ) -> None:
         """Carry the ANN index across a warm update instead of rebuilding.
 
-        Called with the candidate embedding already installed.  The
-        live index evolves through its backend's ``updated`` method
+        Called with the candidate model installed and no index.  The
+        prior index evolves through its backend's ``updated`` method
         (e.g. :meth:`repro.ann.ivf.IVFIndex.updated`): retained senders
         keep their place, fresh senders join, evicted senders drop out,
         and a full rebuild happens only past the backend's threshold.
@@ -483,7 +449,6 @@ class DarkVec:
         there is nothing to evolve: the next consumer rebuilds lazily
         via :meth:`_ann_index`.
         """
-        self._index = None
         spec = self.config.ann_spec()
         if not can_evolve(prior_index, spec):
             return
@@ -494,7 +459,7 @@ class DarkVec:
             workers=self.config.workers,
             spec=spec,
         )
-        if self.store is not None and self._embedding_hash is not None:
+        if self.store is not None:
             self.store.save(
                 "ann-index",
                 self._ann_fingerprint(),
@@ -715,13 +680,13 @@ class DarkVec:
 
         return load_state(path)
 
-    def _require_fit(self) -> tuple[Trace, KeyedVectors]:
-        if self.trace is None or self.embedding is None:
+    def _require_fit(self) -> FittedModel:
+        if self.fitted is None:
             raise NotFittedError(
                 "this DarkVec instance is not fitted yet: "
                 "call fit(trace) before evaluate()/cluster()"
             )
-        return self.trace, self.embedding
+        return self.fitted
 
     # ------------------------------------------------------------------
     # Semi-supervised analysis
@@ -736,12 +701,12 @@ class DarkVec:
         is empty — no sender of the evaluation period is covered by the
         embedding — instead of producing an empty-slice report.
         """
-        trace, embedding = self._require_fit()
+        fitted = self._require_fit()
         if eval_days is None:
-            rows = np.arange(len(embedding))
+            rows = np.arange(len(fitted.embedding))
         else:
-            eval_senders = trace.last_days(eval_days).observed_senders()
-            rows = embedding.rows_of(eval_senders)
+            eval_senders = fitted.trace.last_days(eval_days).observed_senders()
+            rows = fitted.embedding.rows_of(eval_senders)
             rows = rows[rows >= 0]
         if len(rows) == 0:
             raise ValueError(
@@ -795,11 +760,11 @@ class DarkVec:
     ) -> ClassificationReport:
         """The LOO computation shared by :meth:`evaluate` and the
         health monitors (which must not append registry records)."""
-        trace, embedding = self._require_fit()
+        fitted = self._require_fit()
         rows = self.evaluation_rows(eval_days)
-        labels = truth.labels_for(trace)[embedding.tokens]
+        labels = truth.labels_for(fitted.trace)[fitted.embedding.tokens]
         predictions = leave_one_out_predictions(
-            embedding.vectors,
+            fitted.embedding.vectors,
             labels,
             rows,
             k=k,
@@ -820,13 +785,12 @@ class DarkVec:
         index serves it, and it is keyed by the train hash plus
         ``k_prime`` and the ANN config fields.
         """
-        cacheable = self.store is not None and self._embedding_hash is not None
-        if cacheable:
+        if self.store is not None:
             fingerprint = stage_fingerprint(
                 "knn-index",
                 STAGE_VERSIONS["knn-index"],
                 self.config.stage_fields("knn-index", k_prime=k_prime),
-                {"train": self._embedding_hash},
+                {"train": self.fitted.embedding_hash},
             )
             cached = self.store.load("knn-index", fingerprint, KNN_GRAPH_CODEC)
             if cached is not None:
@@ -837,7 +801,7 @@ class DarkVec:
             workers=self.config.workers,
             index=self._ann_index(),
         )
-        if cacheable:
+        if self.store is not None:
             self.store.save("knn-index", fingerprint, KNN_GRAPH_CODEC, graph)
         return graph
 

@@ -17,6 +17,11 @@ reads, the content hashes of its upstream artifacts): re-running with
 an unchanged config is a pure cache hit, and flipping one knob re-runs
 exactly the stages downstream of it.
 
+A run ends in one frozen :class:`FittedModel`, the same value that a
+warm :meth:`~repro.core.pipeline.DarkVec.update` and
+:func:`~repro.store.state.load_state` build: ``DarkVec`` installs or
+discards it whole.
+
 The staged path is **bit-identical** to the historical monolithic
 ``fit`` at ``workers=1``: the corpus stage builds *unfiltered*
 sentences and the vocab stage applies the activity filter at
@@ -57,11 +62,7 @@ from repro.store.cache import ArtifactStore
 from repro.store.fingerprint import stable_hash, stage_fingerprint
 from repro.trace.packet import Trace
 from repro.w2v.keyedvectors import KeyedVectors
-from repro.w2v.model import Word2Vec
 from repro.w2v.vocab import Vocabulary
-
-#: Execution order of the stage graph.
-STAGE_ORDER = ("ingest", "service-map", "corpus", "vocab", "train")
 
 #: Code version per stage; bump when a stage's semantics change so
 #: stale cached artifacts stop matching.
@@ -71,8 +72,8 @@ STAGE_VERSIONS = {
     "corpus": 1,
     "vocab": 1,
     "train": 1,
-    # Not part of STAGE_ORDER: lazily built siblings of train, keyed
-    # off the train hash (see DarkVec._ann_index and DarkVec._knn_graph).
+    # Not stages of StagedPipeline.run: lazily built siblings of train,
+    # keyed off the train hash (see DarkVec._ann_index and DarkVec._knn_graph).
     "knn-index": 1,
     "ann-index": 1,
 }
@@ -97,37 +98,41 @@ class StageStatus:
     fingerprint: str
 
 
-@dataclass
-class PipelineArtifacts:
-    """Everything the staged pipeline produced.
+@dataclass(frozen=True, eq=False)
+class FittedModel:
+    """Everything a fit or a warm update leaves behind, as one value.
+
+    Built by the staged fit, by :meth:`~repro.core.pipeline.DarkVec.
+    update` and by :func:`~repro.store.state.load_state`; the filtered
+    corpus and the embedding's content hash are derived here, once.
 
     Attributes:
-        trace: the ingested trace (shared with the caller).
-        trace_hash: content hash of the trace.
-        service_map: resolved service map.
-        corpus: the **unfiltered** corpus (every observed sender); use
-            :meth:`~repro.corpus.document.Corpus.filtered_to` with
-            ``active`` for the paper's activity-filtered view.
+        trace: the rolling-window trace the model was trained on.
+        raw_corpus: the **unfiltered** corpus (every observed sender).
         active: sender indices passing the activity filter.
-        vocab: activity-filtered training vocabulary.
         embedding: trained sender embedding.
-        t_origin: origin of the dT window grid (first packet time).
-        statuses: per-stage cache outcomes, in execution order.
+        t_origin: origin of the dT window grid (the first fit's first
+            packet time).
+        service_map: the resolved service map, kept across updates.
+        corpus: ``raw_corpus`` filtered to ``active`` (derived).
+        embedding_hash: content hash of ``embedding``, the key of its
+            ann-index and knn-index artifacts (derived).
     """
 
     trace: Trace
-    trace_hash: str
-    service_map: ServiceMap
-    corpus: Corpus
+    raw_corpus: Corpus
     active: np.ndarray
-    vocab: Vocabulary
-    embedding: KeyedVectors | None = None
-    t_origin: float = 0.0
-    statuses: list[StageStatus] = field(default_factory=list)
+    embedding: KeyedVectors
+    t_origin: float
+    service_map: ServiceMap
+    corpus: Corpus = field(init=False)
+    embedding_hash: str = field(init=False)
 
-    def hits(self) -> int:
-        """Number of stages served from the artifact store."""
-        return sum(1 for status in self.statuses if status.status == "hit")
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "corpus", self.raw_corpus.filtered_to(self.active))
+        object.__setattr__(
+            self, "embedding_hash", KEYEDVECTORS_CODEC.content_hash(self.embedding)
+        )
 
 
 class StagedPipeline:
@@ -155,20 +160,18 @@ class StagedPipeline:
         codec,
         compute: Callable[[], object],
         statuses: list[StageStatus],
-        inputs: dict[str, str] | None = None,
-        cacheable: bool = True,
     ) -> tuple[object, str]:
         """Load-or-compute one stage; returns (artifact, content hash)."""
         t0 = perf_counter()
         with obs.span(f"stage.{stage}") as sp:
-            if not cacheable or self.store is None:
+            if self.store is None:
                 obj = compute()
                 content_hash = codec.content_hash(obj)
                 status = "uncached"
                 fingerprint = "-"
             else:
                 fingerprint = stage_fingerprint(
-                    stage, STAGE_VERSIONS[stage], fields, upstream, inputs
+                    stage, STAGE_VERSIONS[stage], fields, upstream
                 )
                 cached = self.store.load(stage, fingerprint, codec)
                 if cached is not None:
@@ -202,21 +205,9 @@ class StagedPipeline:
     # The graph
     # ------------------------------------------------------------------
 
-    def run(
-        self,
-        trace: Trace,
-        until: str = "train",
-        warm_init: KeyedVectors | None = None,
-    ) -> PipelineArtifacts:
-        """Execute stages in order up to and including ``until``.
-
-        ``warm_init`` seeds the train stage from a prior embedding (and
-        is folded into the train fingerprint, so warm and cold results
-        never collide in the store).
-        """
-        if until not in STAGE_ORDER:
-            raise ValueError(f"unknown stage {until!r}; expected {STAGE_ORDER}")
-        last = STAGE_ORDER.index(until)
+    def run(self, trace: Trace) -> tuple[FittedModel, list[StageStatus]]:
+        """Execute the stages in order; returns the fitted model and
+        each stage's cache outcome, in execution order."""
         config = self.config
         statuses: list[StageStatus] = []
 
@@ -254,18 +245,6 @@ class StagedPipeline:
             StageStatus("ingest", ingest_status, ingest_seconds, ingest_fp)
         )
 
-        artifacts = PipelineArtifacts(
-            trace=trace,
-            trace_hash=trace_hash,
-            service_map=None,  # set below
-            corpus=None,
-            active=None,
-            vocab=None,
-            statuses=statuses,
-        )
-        if last == 0:
-            return artifacts
-
         # -- service-map ---------------------------------------------------
         custom_map = isinstance(config.service, ServiceMap)
 
@@ -296,13 +275,9 @@ class StagedPipeline:
                 statuses,
             )
             service_map = service_map_from_spec(spec)
-        artifacts.service_map = service_map
-        if last == 1:
-            return artifacts
 
         # -- corpus (unfiltered; activity filter applied at vocab) ---------
         t_origin = trace.start_time if len(trace) else 0.0
-        artifacts.t_origin = t_origin
 
         def compute_corpus():
             if config.shard_size > 0:
@@ -324,9 +299,6 @@ class StagedPipeline:
             compute_corpus,
             statuses,
         )
-        artifacts.corpus = corpus
-        if last == 2:
-            return artifacts
 
         # -- vocab (activity filter as a vocabulary restriction) -----------
         def compute_vocab():
@@ -350,32 +322,13 @@ class StagedPipeline:
             compute_vocab,
             statuses,
         )
-        artifacts.vocab = vocab
-        artifacts.active = active
-        if last == 3:
-            return artifacts
 
         # -- train ---------------------------------------------------------
         def compute_embedding():
-            model = Word2Vec(
-                vector_size=config.vector_size,
-                context=config.context,
-                negative=config.negative,
-                epochs=config.epochs,
-                seed=config.seed,
-                workers=config.workers,
-                pool_backend=config.pool_backend,
-                progress=self.progress,
-            )
-            return model.fit(
-                [sentence.tokens for sentence in corpus],
-                vocab=vocab,
-                init=warm_init,
+            return config.trainer(progress=self.progress).fit(
+                [sentence.tokens for sentence in corpus], vocab=vocab
             )
 
-        train_inputs = None
-        if warm_init is not None:
-            train_inputs = {"warm_init": KEYEDVECTORS_CODEC.content_hash(warm_init)}
         embedding, _ = self._run_stage(
             "train",
             config.stage_fields("train"),
@@ -383,7 +336,13 @@ class StagedPipeline:
             self._codec_for(KEYEDVECTORS_CODEC, KEYEDVECTORS_RAW_CODEC),
             compute_embedding,
             statuses,
-            inputs=train_inputs,
         )
-        artifacts.embedding = embedding
-        return artifacts
+        fitted = FittedModel(
+            trace=trace,
+            raw_corpus=corpus,
+            active=active,
+            embedding=embedding,
+            t_origin=t_origin,
+            service_map=service_map,
+        )
+        return fitted, statuses

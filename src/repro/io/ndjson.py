@@ -127,7 +127,7 @@ def read_trace_ndjson(path: str | Path) -> Trace:
                 continue
             try:
                 record = json.loads(line)
-                times.append(float(record["ts"]))
+                times.append(float(_number(record, "ts")))
                 if not isinstance(record["src"], str):
                     raise ValueError(f"src {record['src']!r} is not a dotted quad")
                 ips.append(record["src"])
@@ -159,8 +159,9 @@ def read_trace_ndjson(path: str | Path) -> Trace:
 
 
 def _number(record: dict, key: str) -> int | float:
-    """``record[key]`` if it is a JSON number (range-checked later)."""
+    """``record[key]`` if it is a JSON number (range-checked later);
+    ``true`` and ``false`` are not numbers."""
     value = record[key]
-    if not isinstance(value, (int, float)):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{key} {value!r} is not a number")
     return value

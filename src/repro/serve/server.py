@@ -123,25 +123,24 @@ def _batch_from_request(request: dict, ingest_root: Path | None = None) -> Trace
     events = request.get("events")
     if events is None:
         raise ValueError("ingest needs 'path' or 'events'")
-    times = np.asarray(events["times"], dtype=np.float64)
+    times = events["times"]
     if not len(times):
         return Trace.empty()
     from repro.trace.address import strs_to_ips
 
-    # Addresses come as dotted quads or numbers; float64 holds every
-    # address exactly.  Trace.from_events rejects a non-finite time and
-    # any value that is not a whole number in its column's range, so
-    # nothing wraps or is truncated into another value.
+    # Addresses come as dotted quads or numbers.  The columns reach
+    # Trace.from_events as the request's Python values: it rejects a
+    # boolean, a non-finite time and any value that is not a whole
+    # number in its column's range, so nothing wraps or is truncated
+    # into another value.
     given = events["ips"]
-    is_text = np.fromiter((isinstance(ip, str) for ip in given), bool, len(given))
-    ips = np.zeros(len(given), dtype=np.float64)
-    ips[is_text] = strs_to_ips([ip for ip in given if isinstance(ip, str)])
-    ips[~is_text] = [ip for ip in given if not isinstance(ip, str)]
+    parsed = iter(strs_to_ips([ip for ip in given if isinstance(ip, str)]).tolist())
+    ips = [next(parsed) if isinstance(ip, str) else ip for ip in given]
     n = len(times)
 
     def column(name, default):
         values = events.get(name)
-        return np.full(n, default) if values is None else np.asarray(values)
+        return np.full(n, default) if values is None else values
 
     return Trace.from_events(
         times=times,

@@ -7,8 +7,9 @@ registry act as the promotion/rollback loop.  Readers never touch the
 model under retrain — every query answers from the current
 :class:`~repro.serve.snapshot.ModelSnapshot`, which the writer swaps
 in atomically only after a batch passes the gate.  A gated (or
-crashed) update keeps the previous snapshot live, so zero queries fail
-across a promotion or a rollback.
+crashed) update keeps the previous model installed in the pipeline and
+the previous snapshot live, so zero queries fail across a promotion or
+a rollback, and the next batch trains on the last promoted model.
 """
 
 from __future__ import annotations
@@ -155,27 +156,19 @@ class DarkVecService:
         obs.add("serve.ingested_packets", len(batch))
         obs.add("serve.batches")
         self.batches += 1
-        health_before = self.darkvec.last_health
+        before = self.darkvec.fitted
         try:
             self.darkvec.update(
                 batch, truth=self.truth, health_gate=self.health_gate
             )
+            promoted = self.darkvec.fitted is not before
         except Exception:
-            # A crashed update leaves the prior fitted state live (the
-            # pipeline mutates only after refit succeeds); keep serving
-            # the old snapshot and count the refusal.
-            self.rollbacks += 1
-            obs.add("serve.rollbacks")
-            return
-        # Branch on the gate verdict, not the embedding hash: a
-        # successful update whose embedding happens to be unchanged
-        # (e.g. a pure cache-hit refit) is a promotion, not a rollback.
-        # `last_health` is refreshed per gated/monitored update, so a
-        # new report with promoted=False is the one rollback signal.
-        health = self.darkvec.last_health
-        if health is not None and health is not health_before and not health.promoted:
-            # The health gate refused promotion and restored the prior
-            # state — the old snapshot stays live.
+            promoted = False
+        if not promoted:
+            # A refused or crashed update put the prior model back (see
+            # DarkVec.update): keep serving the old snapshot and count
+            # the refusal.  A promotion installs a new model even when
+            # its embedding equals the old one.
             self.rollbacks += 1
             obs.add("serve.rollbacks")
             return

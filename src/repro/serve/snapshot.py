@@ -101,7 +101,8 @@ class ModelSnapshot:
         k: int = 7,
         with_clusters: bool = True,
     ) -> "ModelSnapshot":
-        """Freeze the current fitted state of ``darkvec``.
+        """Freeze the installed :class:`~repro.core.stages.FittedModel`
+        of ``darkvec``.
 
         Runs on the writer side (initial start and after each promoted
         update).  Builds the ANN index if the model does not hold a
@@ -110,8 +111,8 @@ class ModelSnapshot:
         Louvain partition once so membership queries are O(1) lookups.
         """
         t0 = perf_counter()
-        trace, embedding = darkvec._require_fit()
-        tokens = embedding.tokens
+        fitted = darkvec._require_fit()
+        trace, tokens = fitted.trace, fitted.embedding.tokens
         sender_ips = trace.sender_ips[tokens].astype(np.uint32)
         # Clamp k to the embedded population (mirroring neighbors()):
         # classify excludes the query row, so a model with fewer than

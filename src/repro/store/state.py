@@ -1,9 +1,10 @@
 """Persisting a fitted :class:`~repro.core.pipeline.DarkVec`.
 
-The daily-retrain loop (``repro update``) needs yesterday's fitted
-state — trace, unfiltered corpus, embedding, window-grid origin — to
-apply a warm incremental update without re-reading old days.  This
-module writes that state as a small directory::
+The daily-retrain loop (``repro update``) needs yesterday's
+:class:`~repro.core.stages.FittedModel` — trace, unfiltered corpus,
+embedding, window-grid origin, service map — to apply a warm
+incremental update without re-reading old days.  This module writes
+that model as a small directory::
 
     <state>/
       config.json      # DarkVecConfig + resolved service-map spec
@@ -14,7 +15,9 @@ module writes that state as a small directory::
 
 All arrays go through the artifact codecs of
 :mod:`repro.io.artifacts`, so the files are plain ``.npz``/JSON with no
-pickled objects.
+pickled objects.  :func:`load_state` recomputes the activity filter
+from the trace and builds the model through the one ``FittedModel``
+constructor, which derives the filtered corpus and the embedding hash.
 """
 
 from __future__ import annotations
@@ -55,12 +58,12 @@ def save_state(darkvec, path: str | Path) -> None:
     ``ValueError`` when its service map is a custom instance without a
     serialisable spec (``to_spec() is None``).
     """
-    trace, embedding = darkvec._require_fit()
-    service_spec = darkvec._service_map.to_spec()
+    fitted = darkvec._require_fit()
+    service_spec = fitted.service_map.to_spec()
     if service_spec is None:
         raise ValueError(
             "cannot persist state: the service map "
-            f"{type(darkvec._service_map).__qualname__} has no serialisable "
+            f"{type(fitted.service_map).__qualname__} has no serialisable "
             "spec (to_spec() returned None)"
         )
     path = Path(path)
@@ -78,13 +81,13 @@ def save_state(darkvec, path: str | Path) -> None:
         path / "meta.json",
         {
             "format": STATE_FORMAT,
-            "t_origin": darkvec._t_origin,
+            "t_origin": fitted.t_origin,
             "service_spec": service_spec,
         },
     )
-    TRACE_CODEC.save(trace, path / "trace.npz")
-    CORPUS_CODEC.save(darkvec._raw_corpus, path / "corpus.npz")
-    KEYEDVECTORS_CODEC.save(embedding, path / "embedding.npz")
+    TRACE_CODEC.save(fitted.trace, path / "trace.npz")
+    CORPUS_CODEC.save(fitted.raw_corpus, path / "corpus.npz")
+    KEYEDVECTORS_CODEC.save(fitted.embedding, path / "embedding.npz")
 
 
 def load_state(path: str | Path):
@@ -95,6 +98,7 @@ def load_state(path: str | Path):
     format this code does not understand.
     """
     from repro.core.pipeline import DarkVec
+    from repro.core.stages import FittedModel
 
     path = Path(path)
     meta = json.loads((path / "meta.json").read_text())
@@ -108,18 +112,14 @@ def load_state(path: str | Path):
         config_doc["service"] = service_map_from_spec(config_doc["service"])
     config = DarkVecConfig(**config_doc)
 
-    darkvec = DarkVec(config)
     trace = TRACE_CODEC.load(path / "trace.npz")
-    raw_corpus = CORPUS_CODEC.load(path / "corpus.npz")
-    embedding = KEYEDVECTORS_CODEC.load(path / "embedding.npz")
-    active = trace.active_senders(config.min_packets)
-
-    darkvec.trace = trace
-    darkvec._raw_corpus = raw_corpus
-    darkvec._active = active
-    darkvec.corpus = raw_corpus.filtered_to(active)
-    darkvec.embedding = embedding
-    darkvec._t_origin = float(meta["t_origin"])
-    darkvec._service_map = service_map_from_spec(meta["service_spec"])
-    darkvec._embedding_hash = KEYEDVECTORS_CODEC.content_hash(embedding)
+    darkvec = DarkVec(config)
+    darkvec.fitted = FittedModel(
+        trace=trace,
+        raw_corpus=CORPUS_CODEC.load(path / "corpus.npz"),
+        active=trace.active_senders(config.min_packets),
+        embedding=KEYEDVECTORS_CODEC.load(path / "embedding.npz"),
+        t_origin=float(meta["t_origin"]),
+        service_map=service_map_from_spec(meta["service_spec"]),
+    )
     return darkvec

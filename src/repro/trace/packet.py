@@ -40,13 +40,31 @@ def _first_bad(name: str, values: np.ndarray, bad: np.ndarray, what: str) -> Non
         raise BadValueError(f"column {name} holds {value!r}, not {what}", index)
 
 
+def _refuse_bools(name: str, values, what: str) -> None:
+    """Raise :class:`BadValueError` at the first boolean of a numeric
+    column.  numpy reads ``[True, 23]`` as ``[1, 23]``, so a Python
+    sequence is checked value by value, before it becomes an array."""
+    if isinstance(values, np.ndarray):
+        index = 0 if values.dtype.kind == "b" and len(values) else None
+    else:
+        index = next(
+            (i for i, v in enumerate(values) if isinstance(v, (bool, np.bool_))), None
+        )
+    if index is not None:
+        value = bool(values[index])
+        raise BadValueError(f"column {name} holds {value!r}, not {what}", index)
+
+
 def _in_range(name: str, values) -> np.ndarray:
     """``values`` as an array, checked against :data:`COLUMN_RANGES`.
 
-    Every entry must be a whole number in the column's range.
+    Every entry must be a whole number in the column's range; only the
+    ``mirai`` flag may hold booleans.
     """
     low, high = COLUMN_RANGES[name]
     what = f"an integer in [{low}, {high}]"
+    if name != "mirai":
+        _refuse_bools(name, values, what)
     values = np.asarray(values)
     if values.dtype.kind not in "biuf":
         raise ValueError(f"column {name} holds {values.dtype} values, not {what}")
@@ -257,6 +275,7 @@ class Trace:
         (its ``index`` is the event's) rather than wrapping or being
         truncated.
         """
+        _refuse_bools("times", times, "a finite number")
         times = np.asarray(times, dtype=np.float64)
         _first_bad("times", times, ~np.isfinite(times), "a finite number")
         order = np.argsort(times, kind="stable")
@@ -264,8 +283,9 @@ class Trace:
         ports = _in_range("ports", ports)
         receivers = _in_range("receivers", receivers)
         mirai = _in_range("mirai", mirai)
-        protos = np.asarray(protos)
         known = ", ".join(str(p) for p in sorted(PROTO_NAMES))
+        _refuse_bools("protos", protos, f"one of {known}")
+        protos = np.asarray(protos)
         _first_bad(
             "protos", protos, ~np.isin(protos, list(PROTO_NAMES)), f"one of {known}"
         )

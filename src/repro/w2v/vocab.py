@@ -79,9 +79,10 @@ class Vocabulary:
     def merge(a: "Vocabulary", b: "Vocabulary") -> "Vocabulary":
         """Union of two vocabularies with summed counts.
 
-        The warm-start path merges the vocabulary of retained corpus
-        windows with the vocabulary of freshly rebuilt windows instead
-        of re-counting the whole rolling window from scratch.
+        :func:`~repro.core.sharding.build_vocab_streaming` folds its
+        per-chunk counts together with it.  The warm update does not
+        use it: one :meth:`build` over its retained and rebuilt
+        sentences gives the same tokens and counts.
         """
         tokens = np.union1d(a.tokens, b.tokens)
         counts = np.zeros(len(tokens), dtype=np.int64)

@@ -508,6 +508,17 @@ class TestStoreRoundTrip:
         np.testing.assert_array_equal(original[1], restored[1])
 
 
+@pytest.mark.parametrize("backend", list(BACKENDS))
+def test_search_for_zero_rows_returns_empty_arrays(backend):
+    units = random_units(n=300, dim=8)
+    index = build_index(units, AnnSpec(backend=backend, seed=2))
+    telemetry = Telemetry()
+    with obs.session(telemetry):
+        neighbors, sims = index.search(np.empty(0, dtype=np.int64), 7)
+    assert neighbors.shape == sims.shape == (0, 7)
+    assert (neighbors.dtype, sims.dtype) == (np.int64, np.float64)
+
+
 class TestIndexCodecs:
     def test_codecs_are_keyed_by_backend_names(self):
         assert set(INDEX_CODECS) <= set(BACKENDS)

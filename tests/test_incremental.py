@@ -405,6 +405,43 @@ class TestIndexEvolution:
         assert isinstance(darkvec._index, ExactIndex)
 
 
+class TestFailedUpdateKeepsPriorModel:
+    """An update that raises after its refit re-raises and leaves the
+    prior model and index installed, not its candidate."""
+
+    def _break_registry(self, darkvec, monkeypatch):
+        # read_ndjson refuses the torn last line inside the monitors
+        with open(darkvec.registry.path, "a") as handle:
+            handle.write('{"kind": "upd')
+
+    def _break_record(self, darkvec, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(pipeline_module, "record_run", refuse)
+
+    @pytest.mark.parametrize(
+        "break_, error",
+        [("_break_registry", ValueError), ("_break_record", OSError)],
+        ids=["monitors", "record"],
+    )
+    def test_prior_model_and_index_stay_installed(
+        self, split_trace, tmp_path, monkeypatch, break_, error
+    ):
+        head, tail = split_trace
+        config = DarkVecConfig(
+            epochs=2, seed=3, ann_backend="ivf", cache_dir=tmp_path
+        )
+        darkvec = DarkVec(config).fit(head)
+        fitted, index = darkvec.fitted, darkvec._ann_index()
+        getattr(self, break_)(darkvec, monkeypatch)
+        with pytest.raises(error):
+            darkvec.update(tail)
+        assert darkvec.fitted is fitted
+        assert darkvec._index is index
+        assert len(darkvec.trace) == len(head)
+
+
 class TestRecallMonitor:
     """The ``ann_recall`` verdict reads only the candidate's own audits."""
 
@@ -452,14 +489,18 @@ class TestEmptyEvaluationWindow:
         darkvec = DarkVec(config).fit(head)
         # the fitted trace is day one, so its "last day" overlaps; force
         # an empty window with an impossible eval_days slice instead
-        darkvec.trace = small_trace.between(-2.0, -1.0)
+        darkvec.fitted = replace(
+            darkvec.fitted, trace=small_trace.between(-2.0, -1.0)
+        )
         with pytest.raises(ValueError, match="empty evaluation window"):
             darkvec.evaluation_rows(1.0)
 
     def test_evaluate_propagates_the_error(self, small_bundle, small_trace):
         config = DarkVecConfig(epochs=2, seed=3)
         darkvec = DarkVec(config).fit(small_trace)
-        darkvec.trace = small_trace.between(-2.0, -1.0)
+        darkvec.fitted = replace(
+            darkvec.fitted, trace=small_trace.between(-2.0, -1.0)
+        )
         with pytest.raises(ValueError, match="empty evaluation window"):
             darkvec.evaluate(small_bundle.truth, eval_days=1.0)
 

@@ -392,6 +392,10 @@ class TestNdjsonRoundtrip:
             ("ts", float("inf"), "column times"),
             ("src", "1_0.0.0.1", "malformed IPv4"),
             ("src", 167772161, "not a dotted quad"),
+            # JSON true is not the number 1
+            ("ts", True, "ts True is not a number"),
+            ("dst", True, "dst True is not a number"),
+            ("port", True, "port True is not a number"),
         ],
     )
     def test_out_of_range_records_rejected(self, tmp_path, field, value, error):
@@ -409,6 +413,18 @@ class TestNdjsonRoundtrip:
             "".join(json.dumps(r) + "\n" if r else "\n" for r in lines)
         )
         with pytest.raises(ValueError, match=rf"bad\.ndjson:3: .*{error}"):
+            read_trace_ndjson(path)
+
+    def test_a_lone_record_of_booleans_is_rejected(self, tmp_path):
+        import json
+
+        from repro.io.ndjson import read_trace_ndjson
+
+        record = {"ts": True, "src": "10.0.0.1", "dst": True, "port": True}
+        record.update({"proto": "tcp", "mirai": True})
+        path = tmp_path / "bad.ndjson"
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(ValueError, match=r"bad\.ndjson:1: .*not a number"):
             read_trace_ndjson(path)
 
     def test_blank_lines_skipped(self, tiny_trace, tmp_path):

@@ -291,10 +291,10 @@ class TestHealthGate:
             health={"gate_updates": True, "drift_warn": 1e-9, "drift_fail": 1e-8},
         )
         darkvec = DarkVec(config).fit(head)
+        fitted = darkvec.fitted
         before = darkvec.embedding.vectors.copy()
-        n_before = len(darkvec.trace)
         darkvec.update(tail)
-        return darkvec, before, n_before
+        return darkvec, fitted, before
 
     def test_fit_records_run(self, gated):
         darkvec, _, _ = gated
@@ -308,9 +308,10 @@ class TestHealthGate:
         assert any(m.name == "drift" for m in darkvec.last_health.failures())
 
     def test_prior_state_stays_live(self, gated):
-        darkvec, before, n_before = gated
+        darkvec, fitted, before = gated
+        assert darkvec.fitted is fitted
         np.testing.assert_array_equal(darkvec.embedding.vectors, before)
-        assert len(darkvec.trace) == n_before
+        assert len(darkvec.trace) == len(fitted.trace)
 
     def test_refused_update_still_recorded(self, gated):
         darkvec, _, _ = gated

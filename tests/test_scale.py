@@ -509,25 +509,26 @@ class TestCliFlags:
     def test_run_parser_accepts_scale_flags(self):
         from repro.cli import build_parser
 
-        args = build_parser().parse_args(
-            [
-                "run",
-                "--trace", "t.csv",
-                "--cache-dir", "cache",
-                "--shard-size", "50000",
-                "--mmap",
-                "--pool-backend", "process",
-                "--ann-backend", "ivfpq",
-                "--ann-pq-m", "10",
-                "--ann-pq-bits", "6",
-            ]
-        )
-        assert args.shard_size == 50000
-        assert args.use_mmap is True
-        assert args.pool_backend == "process"
-        assert args.ann_backend == "ivfpq"
-        assert args.ann_pq_m == 10
-        assert args.ann_pq_bits == 6
+        for verb in ("run", "resume"):
+            args = build_parser().parse_args(
+                [
+                    verb,
+                    "--trace", "t.csv",
+                    "--cache-dir", "cache",
+                    "--shard-size", "50000",
+                    "--mmap",
+                    "--pool-backend", "process",
+                    "--ann-backend", "ivfpq",
+                    "--ann-pq-m", "10",
+                    "--ann-pq-bits", "6",
+                ]
+            )
+            assert args.shard_size == 50000
+            assert args.use_mmap is True
+            assert args.pool_backend == "process"
+            assert args.ann_backend == "ivfpq"
+            assert args.ann_pq_m == 10
+            assert args.ann_pq_bits == 6
 
     def test_no_mmap_negation(self):
         from repro.cli import build_parser
@@ -536,6 +537,28 @@ class TestCliFlags:
             ["run", "--trace", "t.csv", "--cache-dir", "c", "--no-mmap"]
         )
         assert args.use_mmap is False
+
+    @pytest.mark.parametrize("verb", ["evaluate", "cluster"])
+    @pytest.mark.parametrize(
+        "flag",
+        [["--shard-size", "1000"], ["--mmap"], ["--no-mmap"]],
+        ids=["shard-size", "mmap", "no-mmap"],
+    )
+    def test_search_verbs_take_only_the_pool_flag(self, verb, flag, capsys):
+        """evaluate and cluster build no stage artifacts: they refuse
+        the shard and mmap flags and keep --pool-backend."""
+        from repro.cli import build_parser
+
+        base = [verb, "--trace", "t.csv", "--vectors", "v.npz"]
+        if verb == "evaluate":
+            base += ["--labels", "l.csv"]
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(base + flag)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        args = build_parser().parse_args(base + ["--pool-backend", "process"])
+        assert args.pool_backend == "process"
+        assert not hasattr(args, "shard_size") and not hasattr(args, "use_mmap")
 
     def test_update_parser_accepts_overrides(self):
         from repro.cli import build_parser

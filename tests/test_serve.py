@@ -21,6 +21,7 @@ import pytest
 from repro.core import DarkVec, DarkVecConfig
 from repro.obs.drift import embedding_drift
 from repro.obs.health import HealthPolicy
+from repro.obs.registry import RunRegistry
 from repro.serve import (
     DarkVecService,
     ModelSnapshot,
@@ -32,6 +33,7 @@ from repro.serve import (
     wait_for_port,
 )
 from repro.trace.address import ip_to_str
+from repro.trace.merge import merge_traces
 from repro.trace.packet import SECONDS_PER_DAY, Trace
 
 DAY = float(SECONDS_PER_DAY)
@@ -51,7 +53,10 @@ def _fit(trace, backend: str = "thread", **overrides) -> DarkVec:
 
 
 def _assert_same_corpus(a: DarkVec, b: DarkVec) -> None:
-    for corpus_a, corpus_b in ((a._raw_corpus, b._raw_corpus), (a.corpus, b.corpus)):
+    for corpus_a, corpus_b in (
+        (a.fitted.raw_corpus, b.fitted.raw_corpus),
+        (a.corpus, b.corpus),
+    ):
         assert len(corpus_a) == len(corpus_b)
         for sent_a, sent_b in zip(corpus_a, corpus_b):
             assert sent_a.service_id == sent_b.service_id
@@ -92,7 +97,7 @@ class TestSubDayEquivalence:
             daily.trace.sender_ips, micro.trace.sender_ips
         )
         np.testing.assert_array_equal(daily.trace.senders, micro.trace.senders)
-        np.testing.assert_array_equal(daily._active, micro._active)
+        np.testing.assert_array_equal(daily.fitted.active, micro.fitted.active)
         _assert_same_corpus(daily, micro)
         np.testing.assert_array_equal(
             daily.embedding.tokens, micro.embedding.tokens
@@ -340,6 +345,33 @@ class TestServiceLifecycle:
             assert service.status()["rollbacks"] == 1
             assert service.classify(ip)["version"] == 0
 
+    def test_next_promotion_does_not_train_on_a_crashed_batch(
+        self, fresh_fit, tmp_path
+    ):
+        """Batch 1 crashes in its monitors and counts a rollback; batch
+        2 promotes on top of the fit alone, not of batch 1."""
+        darkvec, trace = fresh_fit
+        darkvec.registry = RunRegistry(tmp_path)
+        fit_trace = darkvec.trace
+        first, second = _batches(trace, 2.0, (2.5, 3.0))
+        with DarkVecService(darkvec, with_clusters=False) as service:
+            # read_ndjson refuses the torn line inside the monitors
+            darkvec.registry.path.write_text('{"kind": "fi')
+            service.submit(first)
+            assert service.drain(timeout=300.0)
+            assert service.status()["rollbacks"] == 1
+            darkvec.registry.path.unlink()
+            service.submit(second)
+            assert service.drain(timeout=300.0)
+            status = service.status()
+            assert (status["version"], status["promotions"]) == (1, 1)
+        expected, _, _ = merge_traces(fit_trace, second)
+        assert len(darkvec.trace) == len(fit_trace) + len(second)
+        np.testing.assert_array_equal(darkvec.trace.times, expected.times)
+        np.testing.assert_array_equal(
+            darkvec.trace.sender_ips, expected.sender_ips
+        )
+
     def test_submit_after_close_raises(self, fresh_fit):
         darkvec, _ = fresh_fit
         service = DarkVecService(darkvec, with_clusters=False)
@@ -350,12 +382,17 @@ class TestServiceLifecycle:
     def test_unchanged_embedding_promotion_is_not_a_rollback(self, fresh_fit):
         """An update that changes nothing (cache-hit refit) promotes.
 
-        The writer branches on the health-gate verdict, not on the
-        embedding hash — a successful no-change update must not read
-        as a phantom rollback in `repro top`.
+        The writer branches on whether a new model was installed, not
+        on the embedding hash — a successful no-change update must not
+        read as a phantom rollback in `repro top`.
         """
         darkvec, trace = fresh_fit
-        darkvec.update = lambda *args, **kwargs: darkvec
+
+        def unchanged(*args, **kwargs):
+            darkvec.fitted = replace(darkvec.fitted)  # an equal model
+            return darkvec
+
+        darkvec.update = unchanged
         with DarkVecService(darkvec, with_clusters=False) as service:
             service.submit(_batches(trace, 2.0, (2.5,))[0])
             assert service.drain(timeout=60.0)
@@ -736,10 +773,31 @@ class TestServerClient:
             ({"receivers": [float("nan")]}, "column receivers"),
             ({"mirai": [float("nan")]}, "column mirai"),
             ({"times": [float("nan")]}, "column times"),
+            # JSON true is not the number 1, alone or among numbers
+            ({"ports": [True]}, "column ports holds True"),
+            ({"ips": [True]}, "column sender_ips_per_packet holds True"),
+            ({"times": [True]}, "column times holds True"),
+            ({"protos": [True]}, "column protos holds True"),
+            ({"receivers": [True]}, "column receivers holds True"),
+            (
+                {"times": [1.0, 2.0], "ips": [True, "10.0.0.9"], "ports": [True, 23]},
+                "column sender_ips_per_packet holds True",
+            ),
+            (
+                {"times": [1.0, 2.0], "ips": ["10.0.0.9"] * 2, "ports": [23, True]},
+                "column ports holds True",
+            ),
+            (
+                {"times": [1.0, True], "ips": ["10.0.0.9"] * 2, "ports": [23, 23]},
+                "column times holds True",
+            ),
         ],
         ids=[
             "port 70000", "address 2**32+5", "not a quad", "port NaN",
             "port 23.5", "address 5.5", "receiver NaN", "mirai NaN", "time NaN",
+            "port true", "address true", "time true", "proto true",
+            "receiver true", "address and port true among numbers",
+            "port true after a number", "time true after a number",
         ],
     )
     def test_out_of_range_inline_ingest_is_refused(self, fresh_fit, bad, error):

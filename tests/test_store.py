@@ -264,8 +264,8 @@ class TestCacheCorrectness:
         cache_dir, config, _ = cached_fit
         flipped = dataclasses.replace(config, delta_t=config.delta_t / 2)
         pipeline = StagedPipeline(flipped, store=ArtifactStore(cache_dir))
-        artifacts = pipeline.run(small_trace, until="train")
-        by_stage = {s.stage: s.status for s in artifacts.statuses}
+        _, statuses = pipeline.run(small_trace)
+        by_stage = {s.stage: s.status for s in statuses}
         assert by_stage["ingest"] == "hit"
         assert by_stage["service-map"] == "hit"
         assert by_stage["corpus"] == "miss"
@@ -276,8 +276,8 @@ class TestCacheCorrectness:
         cache_dir, config, _ = cached_fit
         flipped = dataclasses.replace(config, seed=config.seed + 1)
         pipeline = StagedPipeline(flipped, store=ArtifactStore(cache_dir))
-        artifacts = pipeline.run(small_trace, until="train")
-        by_stage = {s.stage: s.status for s in artifacts.statuses}
+        _, statuses = pipeline.run(small_trace)
+        by_stage = {s.stage: s.status for s in statuses}
         assert by_stage["train"] == "miss"
         for stage in ("ingest", "service-map", "corpus", "vocab"):
             assert by_stage[stage] == "hit", stage
