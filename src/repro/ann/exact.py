@@ -137,14 +137,12 @@ class ExactIndex(NeighborIndex):
         n = len(self.units)
         rec = obs.current()
         t0 = time.perf_counter() if rec.enabled else 0.0
-        with obs.span("knn.search", k=k, queries=len(query_rows)) as sp:
-            obs.add("knn.queries", len(query_rows))
-            obs.add("knn.distance_computations", len(query_rows) * n)
-            sp.set(items=len(query_rows) * n, items_unit="dists")
-            neighbors, sims = exact_topk(
-                self.units, query_rows, k, exclude_self, workers=workers
-            )
-            obs.observe_many("knn.neighbor_distance", 1.0 - sims.ravel())
-            if rec.enabled:
-                obs.observe("knn.search_seconds", time.perf_counter() - t0)
+        obs.add("knn.queries", len(query_rows))
+        obs.add("knn.distance_computations", len(query_rows) * n)
+        neighbors, sims = exact_topk(
+            self.units, query_rows, k, exclude_self, workers=workers
+        )
+        obs.observe_many("knn.neighbor_distance", 1.0 - sims.ravel())
+        if rec.enabled:
+            obs.observe("knn.search_seconds", time.perf_counter() - t0)
         return neighbors, sims

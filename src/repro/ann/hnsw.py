@@ -698,35 +698,33 @@ class HNSWIndex(NeighborIndex):
         n = len(self.units)
         rec = obs.current()
         t0 = time.perf_counter() if rec.enabled else 0.0
-        with obs.span("knn.search", k=k, queries=q, backend="hnsw") as sp:
-            obs.add("knn.queries", q)
-            if workers == 1 or len(chunks) <= 1:
-                results = [search_chunk(bounds) for bounds in chunks]
-            else:
-                with WorkerPool(workers) as pool:
-                    results = pool.map(search_chunk, chunks)
-            stats = []
-            for lo, hi, nb, s64, chunk_stats in results:
-                neighbors[lo:hi] = nb
-                sims[lo:hi] = s64
-                stats.append(chunk_stats)
-            hops = sum(s["hops"] for s in stats)
-            scored = sum(s["scored"] for s in stats)
-            fallbacks = sum(s["fallbacks"] for s in stats)
-            computed = scored + fallbacks * n
-            obs.add("knn.distance_computations", computed)
-            obs.add("ann.hops", hops)
-            obs.add("ann.candidates_scored", scored)
-            if stats:  # a search for zero rows has no chunks
-                obs.observe_many(
-                    "ann.candidate_set_size",
-                    np.concatenate([s["beam_sizes"] for s in stats]),
-                )
-            sp.set(items=computed, items_unit="dists")
-            obs.observe_many("knn.neighbor_distance", 1.0 - sims.ravel())
-            if rec.enabled:
-                obs.observe("knn.search_seconds", time.perf_counter() - t0)
-            self._audit(rows, neighbors, k, exclude_self)
+        obs.add("knn.queries", q)
+        if workers == 1 or len(chunks) <= 1:
+            results = [search_chunk(bounds) for bounds in chunks]
+        else:
+            with WorkerPool(workers) as pool:
+                results = pool.map(search_chunk, chunks)
+        stats = []
+        for lo, hi, nb, s64, chunk_stats in results:
+            neighbors[lo:hi] = nb
+            sims[lo:hi] = s64
+            stats.append(chunk_stats)
+        hops = sum(s["hops"] for s in stats)
+        scored = sum(s["scored"] for s in stats)
+        fallbacks = sum(s["fallbacks"] for s in stats)
+        computed = scored + fallbacks * n
+        obs.add("knn.distance_computations", computed)
+        obs.add("ann.hops", hops)
+        obs.add("ann.candidates_scored", scored)
+        if stats:  # a search for zero rows has no chunks
+            obs.observe_many(
+                "ann.candidate_set_size",
+                np.concatenate([s["beam_sizes"] for s in stats]),
+            )
+        obs.observe_many("knn.neighbor_distance", 1.0 - sims.ravel())
+        if rec.enabled:
+            obs.observe("knn.search_seconds", time.perf_counter() - t0)
+        self._audit(rows, neighbors, k, exclude_self)
         return neighbors, sims
 
     def _search_chunk(

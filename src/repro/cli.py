@@ -1270,7 +1270,8 @@ def _cmd_top(args: argparse.Namespace) -> int:
     """Tail a ``--telemetry-out`` stream and render a live dashboard."""
     import time as time_mod
 
-    from repro.obs.live import read_frames, render_frame
+    from repro.io.ndjson import tail_ndjson
+    from repro.obs.live import render_frame
 
     stream: Path = args.stream
     offset = 0
@@ -1282,7 +1283,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
     try:
         while True:
             if stream.exists():
-                frames, offset = read_frames(stream, offset)
+                frames, offset = tail_ndjson(stream, offset)
                 for new in frames:
                     if frame is not None:
                         prev = frame

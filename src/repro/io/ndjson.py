@@ -1,8 +1,10 @@
-"""NDJSON trace serialisation (optionally gzip-compressed).
+"""NDJSON serialisation: traces, record files and append-only logs.
 
 One JSON object per packet — the interchange format friendliest to
 log pipelines; gzip keeps month-long traces manageable.  Round-trips
-exactly like the CSV format.
+exactly like the CSV format.  The same line format carries telemetry
+exports (written whole, :func:`write_ndjson`) and the append-only logs
+(:func:`append_ndjson`, tailed by :func:`tail_ndjson`).
 """
 
 from __future__ import annotations
@@ -51,22 +53,75 @@ def _atomic_open(path: Path) -> Iterator[IO[str]]:
         tmp.unlink(missing_ok=True)
 
 
+def _line(record) -> str:
+    """One record as a compact JSON line; non-JSON values fall back to
+    their ``str()`` form."""
+    return json.dumps(record, separators=(",", ":"), default=str) + "\n"
+
+
 def write_ndjson(records, path: str | Path) -> None:
     """Write an iterable of JSON-serialisable dicts, one per line.
 
     The generic sibling of :func:`write_trace_ndjson`, used by the
-    telemetry exporter (:mod:`repro.obs.export`), the run registry and
-    any other record-stream producer.  Gzip-compresses when the path
-    ends in ``.gz``; non-JSON values fall back to their ``str()`` form.
-    The write is crash-safe: records land in a temp file that replaces
-    ``path`` atomically once complete.
+    telemetry exporter (:mod:`repro.obs.export`) and any other
+    whole-file record producer.  Gzip-compresses when the path ends in
+    ``.gz``.  The write is crash-safe: records land in a temp file that
+    replaces ``path`` atomically once complete.
     """
     path = Path(path)
     with _atomic_open(path) as handle:
         for record in records:
-            handle.write(
-                json.dumps(record, separators=(",", ":"), default=str) + "\n"
-            )
+            handle.write(_line(record))
+
+
+def append_ndjson(record, path: str | Path) -> None:
+    """Append one record to an NDJSON log as one line, in one write.
+
+    The appender of the append-only logs: the live telemetry stream
+    (:class:`repro.obs.live.TelemetrySink`) and the run registry
+    (:mod:`repro.obs.registry`).  A reader tailing the file with
+    :func:`tail_ndjson` sees at most one unfinished last line.  If a
+    crash left the last line unfinished, that line is ended first, so
+    readers skip the fragment and not this record.
+    """
+    data = _line(record).encode("utf-8")
+    with open(path, "a+b", buffering=0) as handle:
+        end = handle.seek(0, os.SEEK_END)
+        if end:
+            handle.seek(end - 1)
+            if handle.read(1) != b"\n":
+                data = b"\n" + data
+        handle.write(data)
+
+
+def tail_ndjson(path: str | Path, offset: int = 0) -> tuple[list[dict], int]:
+    """Complete records appended to ``path`` since byte ``offset``.
+
+    Returns ``(records, new_offset)``.  An unfinished last line (a
+    write caught mid-way) is left unconsumed for the next call, so
+    callers can poll in a ``tail -f`` loop from another process; a
+    malformed line (a fragment a crash left behind) is skipped; a
+    missing file reads as no records.
+    """
+    try:
+        with Path(path).open("rb") as handle:
+            handle.seek(offset)
+            chunk = handle.read()
+    except OSError:
+        return [], offset
+    end = chunk.rfind(b"\n")
+    if end < 0:
+        return [], offset
+    records = []
+    for line in chunk[: end + 1].splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            records.append(json.loads(line))
+        except ValueError:
+            continue
+    return records, offset + end + 1
 
 
 def read_ndjson(path: str | Path) -> list[dict]:

@@ -151,12 +151,16 @@ def format_quantile_table(
 
     Shared by ``repro profile`` output and ``runs show --quantiles`` —
     the historical view of the same quantiles the live dashboard shows.
+    Each entry is a :func:`~repro.obs.sketch.summarize` summary, as
+    registry records hold, or a full sketch state with its ``levels``
+    (a live snapshot, or a record written before records held
+    summaries), which is summarised here.
     """
     from repro.utils.tables import format_table
 
     rows = []
     for name, data in sorted(sketches.items()):
-        summary = summarize(data)
+        summary = summarize(data) if "levels" in data else data
         rows.append(
             [
                 name,

@@ -7,19 +7,23 @@ observable:
 * :func:`build_frame` serializes the live recorder — including
   in-flight (unclosed) spans with their current elapsed time, metric
   writes still sitting in unfinished task scopes, and the latest
-  process-pool worker heartbeats — into one JSON-ready frame.
+  process-pool worker heartbeats — into one JSON-ready frame.  The
+  session keeps its newest top-level spans only
+  (:data:`~repro.obs.recorder.MAX_ROOT_SPANS`), so a frame stays small
+  however long the session runs.
 * :class:`TelemetrySink` is a background flusher thread that appends a
   frame to an NDJSON stream every ``interval`` seconds (default 1s)
-  and atomically rewrites a Prometheus text-exposition file, so any
-  scrape agent or a second terminal can follow a fit mid-stage.
+  with :func:`repro.io.ndjson.append_ndjson` and atomically rewrites a
+  Prometheus text-exposition file, so any scrape agent or a second
+  terminal can follow a fit mid-stage.
 * :class:`WorkerStream` + :func:`start_worker_heartbeat` are the
   cross-process half: fork-pool workers publish periodic in-flight
   snapshots and their own RSS through a multiprocessing queue, giving
   the parent's live view per-worker visibility between task merges.
-* :func:`read_frames` / :func:`render_frame` implement the consumer:
-  the ``repro top`` CLI verb tails the stream from *another process*
-  and renders stage tree, epoch progress, counter rates, an RSS
-  sparkline and sketch quantiles.
+* :func:`render_frame` is the consumer: the ``repro top`` CLI verb
+  tails the stream from *another process* with
+  :func:`repro.io.ndjson.tail_ndjson` and renders stage tree, epoch
+  progress, counter rates, an RSS sparkline and sketch quantiles.
 
 Everything here is reached only when a :class:`~repro.obs.recorder.
 Telemetry` session is active and a sink is attached — the
@@ -28,7 +32,6 @@ Telemetry` session is active and a sink is attached — the
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
@@ -174,9 +177,10 @@ class TelemetrySink:
     Every ``interval`` seconds (and once more on close) the sink
     appends one :func:`build_frame` line to ``stream_path`` and, when
     ``prom_path`` is set, atomically republishes the Prometheus
-    text-exposition file.  Frames are written with a single ``write``
-    call so a concurrent tail sees at most one partial *last* line
-    (which :func:`read_frames` skips until its newline lands).
+    text-exposition file.  Frames go through
+    :func:`repro.io.ndjson.append_ndjson`, one ``write`` per frame, so
+    a concurrent tail sees at most one partial *last* line (which
+    :func:`repro.io.ndjson.tail_ndjson` skips until its newline lands).
 
     Attaching the sink sets ``worker_stream_interval`` on the recorder,
     which is the switch the process-pool plumbing checks before
@@ -238,15 +242,13 @@ class TelemetrySink:
 
     def flush(self) -> dict:
         """Write one frame now; returns the frame."""
+        from repro.io.ndjson import _atomic_open, append_ndjson
+
         t0 = time.perf_counter()
         frame = build_frame(self.telemetry, self.seq)
         self.seq += 1
-        line = json.dumps(frame, separators=(",", ":"), default=str) + "\n"
-        with self.stream_path.open("a", encoding="utf-8") as handle:
-            handle.write(line)
+        append_ndjson(frame, self.stream_path)
         if self.prom_path is not None:
-            from repro.io.ndjson import _atomic_open
-
             with _atomic_open(self.prom_path) as handle:
                 handle.write(prometheus_text(self.telemetry.snapshot()))
         self.telemetry.add("telemetry.flushes", 1)
@@ -359,37 +361,8 @@ class WorkerStream:
 
 
 # ----------------------------------------------------------------------
-# Consumer side: tailing and rendering frames (the `repro top` verb)
+# Consumer side: rendering frames (the `repro top` verb)
 # ----------------------------------------------------------------------
-
-
-def read_frames(path: str | Path, offset: int = 0) -> tuple[list[dict], int]:
-    """Complete frames appended to ``path`` since byte ``offset``.
-
-    Returns ``(frames, new_offset)``; a trailing partial line (a flush
-    caught mid-write) is left unconsumed for the next call, so callers
-    can poll in a ``tail -f`` loop from another process.
-    """
-    path = Path(path)
-    try:
-        with path.open("rb") as handle:
-            handle.seek(offset)
-            chunk = handle.read()
-    except OSError:
-        return [], offset
-    end = chunk.rfind(b"\n")
-    if end < 0:
-        return [], offset
-    frames = []
-    for line in chunk[: end + 1].splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            frames.append(json.loads(line))
-        except json.JSONDecodeError:
-            continue
-    return frames, offset + end + 1
 
 
 def _fmt_bytes(n: float | None) -> str:

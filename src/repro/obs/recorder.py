@@ -41,6 +41,13 @@ import numpy as np
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import Span
 
+#: Top-level spans a session keeps: the root drops its oldest closed
+#: children past this many, so a long-lived session (the serve daemon)
+#: holds a bounded tree.  ``repro top`` draws at most 24 span rows, a
+#: one-shot verb opens at most 4 top-level spans and the daemon 2 per
+#: promotion.
+MAX_ROOT_SPANS = 16
+
 #: Every live Telemetry, so forked children can refresh their locks.
 _LIVE_TELEMETRY: "weakref.WeakSet[Telemetry]" = weakref.WeakSet()
 
@@ -145,6 +152,8 @@ class SpanHandle:
             # start time — progress is observable mid-stage.
             parent.children.append(self.span)
             telemetry._open_spans[id(self.span)] = self._t0
+            if parent is telemetry.root and len(parent.children) > MAX_ROOT_SPANS:
+                telemetry._trim_root()
         return self
 
     def __exit__(self, *exc_info: object) -> None:
@@ -173,7 +182,8 @@ class Telemetry:
 
     Attributes:
         root: synthetic root span; top-level pipeline stages are its
-            children.
+            children, the newest :data:`MAX_ROOT_SPANS` of them once
+            closed.
         registry: the aggregated metrics (task-scope snapshots merge
             into it; see :meth:`task_scope`).
         profile_memory: when True and a :func:`session` is active,
@@ -354,6 +364,10 @@ class Telemetry:
         with self._lock:
             self._workers_live.clear()
 
+    def innermost_span(self) -> Span:
+        """The calling thread's innermost open span (the root if none)."""
+        return self._stack()[-1]
+
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
@@ -364,6 +378,18 @@ class Telemetry:
             stack = [self.root]
             self._tls.stack = stack
         return stack
+
+    def _trim_root(self) -> None:
+        """Drop the root's oldest closed children past
+        :data:`MAX_ROOT_SPANS`; the caller holds the lock."""
+        excess = len(self.root.children) - MAX_ROOT_SPANS
+        kept = []
+        for child in self.root.children:
+            if excess > 0 and id(child) not in self._open_spans:
+                excess -= 1
+            else:
+                kept.append(child)
+        self.root.children = kept
 
 
 _CURRENT: NullRecorder | Telemetry = NullRecorder()

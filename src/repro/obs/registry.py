@@ -9,10 +9,15 @@ drift and data-quality monitors (:mod:`repro.obs.drift`,
 :mod:`repro.obs.quality`) a history to compare against and the
 ``repro runs`` / ``repro health`` CLI verbs something to render.
 
-Appends are crash-safe: the whole file is rewritten through the
-atomic temp-file path of :func:`repro.io.ndjson.write_ndjson`, so a
-kill mid-append can never corrupt existing history (registries are
-operator-scale — tens to thousands of runs — so rewriting is cheap).
+The file is an append-only log, written and tailed by the same
+appender and reader as the live telemetry stream
+(:func:`repro.io.ndjson.append_ndjson`, :func:`repro.io.ndjson
+.tail_ndjson`).  An append writes one line and reads no history, so
+its cost does not grow with the registry.  A kill mid-append can
+leave at most an unfinished last line: readers skip it, and the next
+append ends it first, so no complete record is ever lost.  A record
+holds the spans of its own run and each sketch's summary, not the
+session's whole span tree or compactor levels.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import time
 from dataclasses import asdict, dataclass, field, fields as dc_fields
 from pathlib import Path
 
+from repro.obs.sketch import summarize
 from repro.store.fingerprint import stable_hash
 
 #: Registry file name under the registry directory.
@@ -86,9 +92,11 @@ class RunRecord:
         stages: stage cache table — one dict per stage with ``stage``,
             ``status`` (hit/miss/uncached), ``seconds``, ``fingerprint``.
         metrics: metric-registry snapshot of the active telemetry
-            session, or None when recording was off.
-        spans: per-span wall/peak-memory rows of the session (path,
-            elapsed_seconds, mem_peak_bytes), or None.
+            session, each sketch as its :func:`~repro.obs.sketch
+            .summarize` summary, or None when recording was off.
+        spans: per-span wall/peak-memory rows (path, elapsed_seconds,
+            mem_peak_bytes) of the run's own span and its subtree, or
+            None.
         profile: ingest data profile (:func:`repro.obs.quality
             .data_profile`), or None.
         health: health-report dict of the run's monitors, or None.
@@ -119,24 +127,40 @@ class RunRegistry:
 
     The registry directory is created lazily on the first append; a
     missing or empty registry reads as an empty history, so monitors
-    degrade to "no baseline" instead of failing.
+    degrade to "no baseline" instead of failing.  The registry keeps
+    the records it has parsed and where they end, so a read parses
+    only the lines appended since the last one, by any process.  One
+    thread reads through a registry object at a time (the pipeline's
+    caller, or the serve daemon's writer thread).
     """
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
         self.path = self.root / RUNS_FILE
+        self._records: list[dict] = []
+        self._offset = 0
 
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
 
     def runs(self) -> list[dict]:
-        """All run records, oldest first."""
-        if not self.path.exists():
-            return []
-        from repro.io.ndjson import read_ndjson
+        """All complete run records, oldest first.
 
-        return read_ndjson(self.path)
+        A torn line (a crashed append) is skipped.  A file that shrank
+        or vanished since the last read is read afresh.
+        """
+        from repro.io.ndjson import tail_ndjson
+
+        try:
+            size = self.path.stat().st_size
+        except FileNotFoundError:
+            size = 0
+        if size < self._offset:
+            self._records, self._offset = [], 0
+        records, self._offset = tail_ndjson(self.path, self._offset)
+        self._records.extend(records)
+        return list(self._records)
 
     def get(self, run_id: str) -> dict:
         """The record with the given id (KeyError when absent)."""
@@ -188,17 +212,16 @@ class RunRegistry:
         return f"run-{len(self.runs()) + 1:04d}"
 
     def append(self, record: RunRecord | dict) -> dict:
-        """Append one record; returns its dict form.
+        """Append one record as one line; returns its dict form.
 
-        The file is rewritten atomically (temp file + ``os.replace``),
-        so a crash mid-append preserves the previous history intact.
+        Reads no history: a crash mid-append leaves at most a torn last
+        line, which readers skip and the next append ends first.
         """
-        from repro.io.ndjson import write_ndjson
+        from repro.io.ndjson import append_ndjson
 
         doc = record.to_dict() if isinstance(record, RunRecord) else dict(record)
-        existing = self.runs()
         self.root.mkdir(parents=True, exist_ok=True)
-        write_ndjson(existing + [doc], self.path)
+        append_ndjson(doc, self.path)
         return doc
 
 
@@ -214,9 +237,12 @@ def record_run(
 ) -> dict:
     """Assemble and append one :class:`RunRecord`.
 
-    Snapshots the active telemetry session (metrics + span table) when
-    one is installed; stage statuses may be passed as dataclasses or
-    dicts.  Returns the appended record.
+    Snapshots the active telemetry session when one is installed: its
+    metrics, each sketch summarised, and the spans under the recording
+    thread's innermost open span, which is the run's own
+    (``pipeline.fit``, ``pipeline.update`` or ``pipeline.evaluate``).
+    Stage statuses may be passed as dataclasses or dicts.  Returns the
+    appended record.
     """
     from repro import obs
 
@@ -225,15 +251,19 @@ def record_run(
     spans = None
     if recorder.enabled:
         metrics = recorder.snapshot()
-        spans = [
-            {
-                "path": path.split("/", 1)[1],
-                "elapsed_seconds": round(span.elapsed, 6),
-                "mem_peak_bytes": span.mem_peak_bytes,
-            }
-            for span, _, path in recorder.root.walk()
-            if span is not recorder.root
-        ]
+        metrics["sketches"] = {
+            name: summarize(data) for name, data in metrics["sketches"].items()
+        }
+        run_span = recorder.innermost_span()
+        if run_span is not recorder.root:  # no span open: not inside a run
+            spans = [
+                {
+                    "path": path,
+                    "elapsed_seconds": round(span.elapsed, 6),
+                    "mem_peak_bytes": span.mem_peak_bytes,
+                }
+                for span, _, path in run_span.walk()
+            ]
     stage_rows = [
         row if isinstance(row, dict) else asdict(row) for row in stages or []
     ]

@@ -5,8 +5,9 @@ per line in each direction: the request carries ``{"op": ..., ...}``,
 the response ``{"ok": true, ...}`` or ``{"ok": false, "error": ...}``.
 A request line longer than :data:`MAX_REQUEST_BYTES` gets an error
 reply and closes its connection; an IP list longer than
-:data:`MAX_QUERY_IPS` or a ``neighbors`` ``k`` above
-:data:`MAX_QUERY_K` gets an error reply and the connection stays open.
+:data:`MAX_QUERY_IPS`, a ``neighbors`` ``k`` that is not a whole number
+in [1, :data:`MAX_QUERY_K`] or a ``members`` ``sample`` that is not a
+whole number >= 0 gets an error reply and the connection stays open.
 Connections are handled by a thread pool (``ThreadingTCPServer``), so
 queries answer concurrently with ingestion and with each other — the
 read path only ever touches the immutable current snapshot.
@@ -16,7 +17,8 @@ Supported ops:
 ``ping``
     liveness check; echoes the server protocol version.
 ``status``
-    writer/reader state (model version, promotions, rollbacks, ...).
+    writer/reader state (model version, promotions, rollbacks, the
+    latest crashed update as ``last_error``, ...).
 ``classify`` / ``neighbors`` / ``members``
     the three read queries, keyed by ``ip``: a dotted quad or a whole
     number in [0, 2**32); any other value is refused.  ``classify``
@@ -58,6 +60,7 @@ Both are surfaced as ``repro serve --token/--ingest-root`` and
 from __future__ import annotations
 
 import json
+import math
 import socket
 import socketserver
 import threading
@@ -65,7 +68,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.serve.service import DarkVecService
+from repro.serve.service import DarkVecService, _whole
 from repro.trace.packet import Trace
 
 PROTOCOL_VERSION = 1
@@ -104,10 +107,23 @@ def _bounded_ips(ip):
 
 
 def _bounded_k(k):
-    """A request's ``k``, after checking it against :data:`MAX_QUERY_K`."""
-    if k is not None and int(k) > MAX_QUERY_K:
-        raise ValueError(f"k={k} exceeds the limit of {MAX_QUERY_K} (MAX_QUERY_K)")
-    return k
+    """A request's ``k``: None (the daemon's default) or a whole number
+    in [1, :data:`MAX_QUERY_K`]."""
+    if k is None:
+        return None
+    if not _whole(k, 1, MAX_QUERY_K + 1):
+        raise ValueError(
+            f"k={k!r} is not a whole number from 1 to the limit of "
+            f"{MAX_QUERY_K} (MAX_QUERY_K)"
+        )
+    return int(k)
+
+
+def _sample(sample):
+    """A ``members`` request's ``sample``: a whole number >= 0."""
+    if not _whole(sample, 0, math.inf):
+        raise ValueError(f"sample={sample!r} is not a whole number >= 0")
+    return int(sample)
 
 
 def _batch_from_request(request: dict, ingest_root: Path | None = None) -> Trace:
@@ -258,7 +274,9 @@ class ServeServer(socketserver.ThreadingTCPServer):
         if op == "members":
             return {
                 "ok": True,
-                **service.membership(request["ip"], sample=request.get("sample", 8)),
+                **service.membership(
+                    request["ip"], sample=_sample(request.get("sample", 8))
+                ),
             }
         if op == "ingest":
             batch = _batch_from_request(request, ingest_root=self.ingest_root)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import numbers
 import queue
 import threading
+import traceback
 from time import perf_counter
 
 from repro import obs
@@ -69,6 +70,8 @@ class DarkVecService:
         self.promotions = 0
         self.rollbacks = 0
         self.batches = 0
+        #: ``"<Type>: <message>"`` of the latest crashed update, or None.
+        self.last_error: str | None = None
         self._queue: queue.Queue = queue.Queue(maxsize=max_pending)
         self._pending = 0
         self._idle = threading.Condition()
@@ -162,7 +165,11 @@ class DarkVecService:
                 batch, truth=self.truth, health_gate=self.health_gate
             )
             promoted = self.darkvec.fitted is not before
-        except Exception:
+        except Exception as exc:
+            # The writer must outlive a crashed update: keep its message
+            # for status() and its traceback on the daemon's stderr.
+            self.last_error = f"{type(exc).__name__}: {exc}"
+            traceback.print_exc()
             promoted = False
         if not promoted:
             # A refused or crashed update put the prior model back (see
@@ -239,9 +246,22 @@ class DarkVecService:
             "batches": self.batches,
             "promotions": self.promotions,
             "rollbacks": self.rollbacks,
+            "last_error": self.last_error,
             "pending_batches": pending,
             "snapshot_build_seconds": snapshot.built_seconds,
         }
+
+
+def _whole(value, lo, hi) -> bool:
+    """Whether a request value is a whole number in [lo, hi): a number
+    with no fractional part that is not a bool (JSON ``true`` is not 1).
+    """
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and lo <= value < hi
+        and value == int(value)
+    )
 
 
 def _as_ip(ip) -> int:
@@ -249,12 +269,7 @@ def _as_ip(ip) -> int:
     that is not a bool.  Anything else is refused, naming the value."""
     if isinstance(ip, str):
         return str_to_ip(ip)
-    if (
-        isinstance(ip, numbers.Real)
-        and not isinstance(ip, bool)
-        and 0 <= ip < 2**32
-        and ip == int(ip)
-    ):
+    if _whole(ip, 0, 2**32):
         return int(ip)
     raise ValueError(
         f"query address {ip!r} is not a dotted quad or a whole number "

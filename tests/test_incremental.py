@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import repro.core.pipeline as pipeline_module
+import repro.obs.drift as drift_module
 from repro.ann import ExactIndex, IVFIndex, IVFPQIndex, audit
 from repro.core import DarkVec, DarkVecConfig
 from repro.core.pipeline import NotFittedError
@@ -409,10 +410,11 @@ class TestFailedUpdateKeepsPriorModel:
     """An update that raises after its refit re-raises and leaves the
     prior model and index installed, not its candidate."""
 
-    def _break_registry(self, darkvec, monkeypatch):
-        # read_ndjson refuses the torn last line inside the monitors
-        with open(darkvec.registry.path, "a") as handle:
-            handle.write('{"kind": "upd')
+    def _break_monitor(self, darkvec, monkeypatch):
+        def crash(*args, **kwargs):
+            raise ValueError("drift monitor crashed")
+
+        monkeypatch.setattr(drift_module, "embedding_drift", crash)
 
     def _break_record(self, darkvec, monkeypatch):
         def refuse(*args, **kwargs):
@@ -422,7 +424,7 @@ class TestFailedUpdateKeepsPriorModel:
 
     @pytest.mark.parametrize(
         "break_, error",
-        [("_break_registry", ValueError), ("_break_record", OSError)],
+        [("_break_monitor", ValueError), ("_break_record", OSError)],
         ids=["monitors", "record"],
     )
     def test_prior_model_and_index_stay_installed(

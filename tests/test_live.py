@@ -15,13 +15,9 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.io.ndjson import tail_ndjson
 from repro.obs import QuantileSketch, Telemetry, TelemetrySink
-from repro.obs.live import (
-    build_frame,
-    prometheus_text,
-    read_frames,
-    render_frame,
-)
+from repro.obs.live import build_frame, prometheus_text, render_frame
 from repro.obs.sketch import summarize
 
 
@@ -219,7 +215,7 @@ class TestTelemetrySink:
             obs.observe("knn.search_seconds", 0.003)
             sink.flush()
             sink.stop()
-        frames, _ = read_frames(stream)
+        frames, _ = tail_ndjson(stream)
         assert len(frames) >= 2  # explicit flush + final flush on stop
         last = frames[-1]
         assert last["counters"]["trace.packets"] == 42
@@ -235,11 +231,11 @@ class TestTelemetrySink:
             with TelemetrySink(telemetry, stream, interval=0.02):
                 deadline = time.monotonic() + 5.0
                 while time.monotonic() < deadline:
-                    frames, _ = read_frames(stream)
+                    frames, _ = tail_ndjson(stream)
                     if len(frames) >= 2:
                         break
                     time.sleep(0.02)
-        frames, _ = read_frames(stream)
+        frames, _ = tail_ndjson(stream)
         assert len(frames) >= 2
         assert [f["seq"] for f in frames] == sorted(f["seq"] for f in frames)
         assert telemetry.snapshot()["counters"]["telemetry.flushes"] >= 2
@@ -280,22 +276,22 @@ class TestReadFrames:
         whole = json.dumps({"seq": 0}) + "\n"
         partial = json.dumps({"seq": 1})[:-4]
         path.write_text(whole + partial)
-        frames, offset = read_frames(path)
+        frames, offset = tail_ndjson(path)
         assert [f["seq"] for f in frames] == [0]
         # Writer finishes the line: the reader resumes mid-file.
         with path.open("a") as handle:
             handle.write(json.dumps({"seq": 1})[-4:] + "\n")
-        more, _ = read_frames(path, offset)
+        more, _ = tail_ndjson(path, offset)
         assert [f["seq"] for f in more] == [1]
 
     def test_malformed_line_skipped(self, tmp_path):
         path = tmp_path / "stream.ndjson"
         path.write_text('{"seq": 0}\nnot json\n{"seq": 2}\n')
-        frames, _ = read_frames(path)
+        frames, _ = tail_ndjson(path)
         assert [f["seq"] for f in frames] == [0, 2]
 
     def test_missing_file(self, tmp_path):
-        frames, offset = read_frames(tmp_path / "absent.ndjson")
+        frames, offset = tail_ndjson(tmp_path / "absent.ndjson")
         assert frames == [] and offset == 0
 
 
@@ -517,3 +513,39 @@ class TestTopCli:
         out = capsys.readouterr().out
         assert "knn.search_seconds" in out
         assert "p99" in out
+
+    def test_runs_show_quantiles_of_summaries_and_of_levels(
+        self, tmp_path, capsys
+    ):
+        """A record holds each sketch's summary, not its levels; a
+        record written with the levels prints the same quantiles."""
+        from repro.cli import main
+        from repro.core import DarkVecConfig
+        from repro.obs.registry import RunRegistry, record_run
+
+        registry = RunRegistry(tmp_path / "registry")
+        telemetry = Telemetry()
+        with obs.session(telemetry):
+            obs.observe_many("knn.search_seconds", np.linspace(1e-3, 0.1, 5_000))
+            record = record_run(
+                registry, "fit", DarkVecConfig(), wall_seconds=1.0
+            )
+        summary = record["metrics"]["sketches"]["knn.search_seconds"]
+        assert "levels" not in summary and summary["count"] == 5_000
+        state = telemetry.snapshot()["sketches"]
+        assert "levels" in state["knn.search_seconds"]
+        registry.append(
+            dict(
+                record,
+                run_id="run-0002",
+                metrics=dict(record["metrics"], sketches=state),
+            )
+        )
+        tables = []
+        for run_id in ("run-0001", "run-0002"):
+            flags = ["--registry", str(registry.root)]
+            assert main(["runs", "show", run_id, "--quantiles", *flags]) == 0
+            out = capsys.readouterr().out
+            tables.append(out[out.index("Distribution quantiles") :])
+        assert "knn.search_seconds" in tables[0]
+        assert tables[0] == tables[1]

@@ -83,6 +83,37 @@ class TestSpans:
         assert found is not None and found.attrs["tag"] == 1
         assert telemetry.root.find("missing") is None
 
+    def test_root_keeps_the_newest_top_level_spans(self):
+        """40 top-level spans leave the newest MAX_ROOT_SPANS with their
+        subtrees; an open span is never dropped."""
+        import threading
+
+        assert recorder.MAX_ROOT_SPANS == 16
+        telemetry = Telemetry()
+
+        def top_level(prefix):
+            for i in range(40):
+                with obs.span(f"{prefix}{i}"):
+                    with obs.span("child"):
+                        pass
+
+        with obs.session(telemetry):
+            top_level("s")
+            root = telemetry.root
+            assert [c.name for c in root.children] == [
+                f"s{i}" for i in range(24, 40)
+            ]
+            assert all(len(c.children) == 1 for c in root.children)
+            with obs.span("open"):
+                # Another thread's spans are top-level while this one is open.
+                reader = threading.Thread(target=top_level, args=("r",))
+                reader.start()
+                reader.join(timeout=60)
+                assert not reader.is_alive()
+                assert [c.name for c in root.children] == ["open"] + [
+                    f"r{i}" for i in range(25, 40)
+                ]
+
     def test_exception_propagates_and_span_closes(self):
         telemetry = Telemetry()
         with obs.session(telemetry):

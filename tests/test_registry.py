@@ -234,6 +234,55 @@ class TestRunRegistry:
         assert len(lines) == 1
         assert json.loads(lines[0])["run_id"] == "run-0001"
 
+    def test_torn_last_line_is_skipped_and_ended_by_the_next_append(
+        self, tmp_path
+    ):
+        registry = RunRegistry(tmp_path)
+        registry.append(self._record("run-0001"))
+        with registry.path.open("a") as handle:
+            handle.write('{"kind": "upd')  # an append a crash cut short
+        assert [r["run_id"] for r in registry.runs()] == ["run-0001"]
+        assert registry.next_run_id() == "run-0002"
+        registry.append(self._record("run-0002"))
+        lines = registry.path.read_text().splitlines()
+        assert lines[1] == '{"kind": "upd'
+        assert json.loads(lines[2])["run_id"] == "run-0002"
+        for reader in (registry, RunRegistry(tmp_path)):
+            assert [r["run_id"] for r in reader.runs()] == [
+                "run-0001",
+                "run-0002",
+            ]
+
+    def test_runs_parses_only_the_lines_appended_since(
+        self, tmp_path, monkeypatch
+    ):
+        registry = RunRegistry(tmp_path)
+        for run_id in ("run-0001", "run-0002", "run-0003"):
+            registry.append(self._record(run_id))
+        assert len(registry.runs()) == 3
+        parsed = []
+        loads = json.loads
+
+        def counting_loads(text, *args, **kwargs):
+            parsed.append(text)
+            return loads(text, *args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", counting_loads)
+        other = RunRegistry(tmp_path)  # another process appending
+        other.append(self._record("run-0004"))
+        ids = [r["run_id"] for r in registry.runs()]
+        assert ids == ["run-0001", "run-0002", "run-0003", "run-0004"]
+        assert len(parsed) == 1
+        assert len(registry.runs()) == 4 and len(parsed) == 1
+        # A file that shrank or vanished is read afresh.
+        shorter = self._record("run-0009").to_dict()
+        registry.path.write_text(json.dumps(shorter) + "\n")
+        assert [r["run_id"] for r in registry.runs()] == ["run-0009"]
+        registry.path.unlink()
+        assert registry.runs() == []
+        other.append(self._record("run-0001"))
+        assert [r["run_id"] for r in registry.runs()] == ["run-0001"]
+
     def test_monitor_series(self, tmp_path):
         registry = RunRegistry(tmp_path)
         for run_id, value in (("run-0001", 0.1), ("run-0002", 0.3)):
@@ -253,6 +302,39 @@ class TestRunRegistry:
         assert doc["config_fingerprint"] == config_fingerprint(config)
         assert doc["kind"] == "fit"
         assert registry.runs() == [doc]
+
+
+class TestRunRecordSpans:
+    def test_update_record_holds_only_its_own_run(self, small_bundle, tmp_path):
+        """Each record holds the spans under its own pipeline span and
+        each sketch's summary, not the session's history."""
+        from repro import obs
+
+        trace = small_bundle.trace
+        cut = trace.start_time + 3 * 86400.0
+        config = DarkVecConfig(
+            service="domain",
+            epochs=2,
+            seed=3,
+            vector_size=16,
+            window_days=3.0,
+            cache_dir=tmp_path,
+        )
+        with obs.session(obs.Telemetry()):
+            darkvec = DarkVec(config).fit(trace.between(trace.start_time, cut))
+            darkvec.update(trace.between(cut, cut + 43200.0), health_gate=True)
+        fit, update = darkvec.registry.runs()
+        for record, run_span in (
+            (fit, "pipeline.fit"),
+            (update, "pipeline.update"),
+        ):
+            paths = [span["path"] for span in record["spans"]]
+            assert paths[0] == run_span
+            assert all(path.startswith(run_span + "/") for path in paths[1:])
+            assert len(paths) > 1
+            for name, summary in record["metrics"]["sketches"].items():
+                assert "levels" not in summary, name
+                assert {"count", "p50", "p95", "p99"} <= set(summary), name
 
 
 class TestConfigFingerprint:

@@ -274,6 +274,23 @@ class TestModelSnapshot:
         sketches = telemetry.snapshot().get("sketches") or {}
         assert "serve.warmup_seconds" in sketches
 
+    def test_searches_under_a_session_add_no_span(self, fresh_fit):
+        """A search is recorded once, by its sketch and counters: the
+        session's span tree does not grow with the queries."""
+        from repro import obs
+
+        darkvec, _ = fresh_fit
+        snapshot = ModelSnapshot.of(darkvec, with_clusters=False)
+        ips = [int(ip) for ip in snapshot.sender_ips[:40]]
+        telemetry = obs.Telemetry()
+        with obs.session(telemetry):
+            for ip in ips:
+                snapshot.classify(ip)
+        assert telemetry.root.children == []
+        metrics = telemetry.snapshot()
+        assert metrics["sketches"]["knn.search_seconds"]["count"] == len(ips)
+        assert metrics["counters"]["knn.queries"] == len(ips)
+
     def test_classify_clamps_k_to_population(self, fresh_fit):
         """A model with fewer than k+1 senders still answers classify."""
         darkvec, _ = fresh_fit
@@ -330,7 +347,9 @@ class TestServiceLifecycle:
             assert service.snapshot is before  # old model stayed live
             assert service.classify(ip)["version"] == 0
 
-    def test_crashed_update_keeps_serving(self, fresh_fit):
+    def test_crashed_update_keeps_serving(self, fresh_fit, capsys):
+        """A crashed update counts a rollback, reports its message as
+        ``last_error`` and prints its traceback to stderr."""
         darkvec, trace = fresh_fit
         batch = _batches(trace, 2.0, (2.5,))[0]
 
@@ -340,27 +359,36 @@ class TestServiceLifecycle:
         darkvec.update = explode
         with DarkVecService(darkvec, with_clusters=False) as service:
             ip = int(service.snapshot.sender_ips[0])
+            assert service.status()["last_error"] is None
             service.submit(batch)
             assert service.drain(timeout=60.0)
-            assert service.status()["rollbacks"] == 1
+            status = service.status()
+            assert status["rollbacks"] == 1
+            assert status["last_error"] == "RuntimeError: boom"
             assert service.classify(ip)["version"] == 0
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "RuntimeError: boom" in err
 
     def test_next_promotion_does_not_train_on_a_crashed_batch(
-        self, fresh_fit, tmp_path
+        self, fresh_fit, tmp_path, monkeypatch
     ):
         """Batch 1 crashes in its monitors and counts a rollback; batch
         2 promotes on top of the fit alone, not of batch 1."""
+        import repro.obs.drift as drift_module
+
+        def crash(*args, **kwargs):
+            raise ValueError("drift monitor crashed")
+
         darkvec, trace = fresh_fit
         darkvec.registry = RunRegistry(tmp_path)
         fit_trace = darkvec.trace
         first, second = _batches(trace, 2.0, (2.5, 3.0))
         with DarkVecService(darkvec, with_clusters=False) as service:
-            # read_ndjson refuses the torn line inside the monitors
-            darkvec.registry.path.write_text('{"kind": "fi')
+            monkeypatch.setattr(drift_module, "embedding_drift", crash)
             service.submit(first)
             assert service.drain(timeout=300.0)
             assert service.status()["rollbacks"] == 1
-            darkvec.registry.path.unlink()
+            monkeypatch.undo()
             service.submit(second)
             assert service.drain(timeout=300.0)
             status = service.status()
@@ -760,6 +788,48 @@ class TestServerClient:
         finally:
             service.close()
             server._shutdown_requested.set()
+
+    @pytest.mark.parametrize(
+        "op, field, bad",
+        [
+            ("neighbors", "k", True),
+            ("neighbors", "k", 2.7),
+            ("neighbors", "k", "5"),
+            ("neighbors", "k", 0),
+            ("neighbors", "k", float("nan")),
+            ("members", "sample", True),
+            ("members", "sample", 2.5),
+            ("members", "sample", "3"),
+            ("members", "sample", -1),
+            ("members", "sample", float("inf")),
+        ],
+        ids=[
+            "k true", "k 2.7", "k string", "k 0", "k NaN", "sample true",
+            "sample 2.5", "sample string", "sample -1", "sample inf",
+        ],
+    )
+    def test_malformed_k_and_sample_are_refused(self, fresh_fit, op, field, bad):
+        """``k`` is a whole number in [1, MAX_QUERY_K] and ``sample`` a
+        whole number >= 0; anything else is refused, naming the value."""
+        import re
+
+        darkvec, _ = fresh_fit
+        service = DarkVecService(darkvec)
+        server = ServeServer(service, port=0)
+        ip = ip_to_str(int(service.snapshot.sender_ips[0]))
+        try:
+            with pytest.raises(
+                ValueError, match=re.escape(f"{field}={bad!r} is not a whole")
+            ):
+                server.dispatch({"op": op, "ip": ip, field: bad})
+            # the values the benchmarks send still answer
+            reply = server.dispatch({"op": "neighbors", "ip": ip, "k": 7})
+            assert len(reply["neighbors"]) == 7
+            reply = server.dispatch({"op": "members", "ip": ip, "sample": 8})
+            assert reply["ok"] and len(reply["members_sample"]) <= 8
+        finally:
+            service.close()
+            server.server_close()
 
     @pytest.mark.parametrize(
         "bad, error",
